@@ -10,7 +10,7 @@ import (
 )
 
 // TestConcurrentOptionsJoins drives Options-level joins — with Relabel on,
-// so the package relabel cache is hammered — from many goroutines against
+// so each one-shot call relabels the shared graph — from many goroutines against
 // one shared graph, and the Service facade alongside them, so the shared
 // engine pool and the concurrency-safe score memo see the same traffic.
 // Run under -race in CI; every response is checked against the serial
@@ -54,7 +54,7 @@ func TestConcurrentOptionsJoins(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 5; i++ {
 				switch (w + i) % 4 {
-				case 0: // one-shot, relabel cache hit path
+				case 0: // one-shot, relabeled per call
 					got, err := TopKPairs(g, p, q, 10, &Options{Relabel: RelabelDegree, Workers: 2})
 					if err != nil {
 						errs <- err

@@ -59,10 +59,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dht"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/join2"
 	"repro/internal/measure"
 	"repro/internal/rankjoin"
+	"repro/internal/service"
 	"repro/internal/simrank"
 )
 
@@ -167,12 +169,16 @@ type Options struct {
 	BatchWidth int
 
 	// Relabel applies a locality-aware node reordering to the graph before
-	// joining (cached per graph, so repeated joins pay the rebuild once):
-	// the join runs on the cache-friendlier CSR and all returned node ids
-	// are mapped back to the caller's id space. Honored by TopKPairs and
-	// TopK; Score/ScoresFrom run on the graph as given. Off by default.
-	// Scores are unchanged up to floating-point summation order within a
-	// CSR row, so rankings can differ only between exactly-tied pairs.
+	// joining: the join runs on the cache-friendlier CSR and all returned
+	// node ids are mapped back to the caller's id space. One-shot calls
+	// rebuild the reordering (O(|E| log |E|)) per call — repeated relabeled
+	// joins belong on Relabel (relabel once, join many) or on a Service,
+	// which caches it per graph. Honored by TopKPairs and TopK;
+	// Score/ScoresFrom run on the graph as given. Off by default; a mode
+	// outside RelabelOff/RelabelDegree/RelabelBFS fails with
+	// ErrInvalidOptions. Scores are unchanged up to floating-point
+	// summation order within a CSR row, so rankings can differ only between
+	// exactly-tied pairs.
 	Relabel RelabelMode
 
 	// Budget bounds the wall-clock time a join may spend. A join that runs
@@ -221,69 +227,44 @@ const (
 // pair it with MeasureReach.
 func PPR(c float64) Params { return dht.PPR(c) }
 
-func (o *Options) resolve() (Params, int, Aggregate, int, error) {
-	_, p, d, agg, m, err := o.resolveMeasure()
-	return p, d, agg, m, err
-}
-
-// resolveMeasure resolves the measure kernel alongside the defaults. The
-// kernel goes first because it owns the customary parameterization: "ppr"
-// defaults zero-value Params to PPR(0.5) before the DHTλ(0.2) fallback.
-// This must stay in lockstep with service.Query.resolve, which serves the
-// same options over the wire.
-func (o *Options) resolveMeasure() (measure.Kernel, Params, int, Aggregate, int, error) {
-	opts := Options{}
-	if o != nil {
-		opts = *o
-	}
-	kern, err := measure.Lookup(opts.MeasureName)
-	if err != nil {
-		return measure.Kernel{}, Params{}, 0, nil, 0, err
-	}
-	p := kern.ResolveParams(opts.Params)
-	if p == (Params{}) {
-		p = dht.DHTLambda(0.2)
-	}
-	if err := p.Validate(); err != nil {
-		return measure.Kernel{}, Params{}, 0, nil, 0, err
-	}
-	d := opts.D
-	if d == 0 {
-		eps := opts.Epsilon
-		if eps == 0 {
-			eps = 1e-6
-		}
-		d = p.StepsForEpsilon(eps)
-	}
-	if d < 1 {
-		return measure.Kernel{}, Params{}, 0, nil, 0, fmt.Errorf("dhtjoin: depth d must be >= 1, got %d", d)
-	}
-	agg := opts.Agg
-	if agg == nil {
-		agg = rankjoin.Min
-	}
-	m := opts.M
-	if m == 0 {
-		m = 50
-	}
-	if m < 0 {
-		return measure.Kernel{}, Params{}, 0, nil, 0, fmt.Errorf("dhtjoin: m must be >= 0, got %d", m)
-	}
-	return kern, p, d, agg, m, nil
-}
-
-// walkKind resolves the step-probability kind the walk engines fold: an
-// explicit measure name fixes it from the kernel (so "ppr" folds reach
-// probabilities regardless of the Measure field), otherwise the legacy
-// Measure field applies unchanged.
-func (o *Options) walkKind(kern measure.Kernel) dht.Kind {
+// toQuery maps Options onto the execution core's query form, which the
+// one-shot calls and Service both resolve — every field reaches it. One-shot
+// calls ignore Tenant and LowPriority (the admission fields).
+func toQuery(o *Options) exec.Query {
 	if o == nil {
-		return MeasureDHT
+		return exec.Query{}
 	}
-	if o.MeasureName != "" && kern.WalkBased {
-		return kern.Walk
+	q := exec.Query{
+		Params:      o.Params,
+		Epsilon:     o.Epsilon,
+		D:           o.D,
+		Measure:     o.Measure,
+		MeasureName: o.MeasureName,
+		Agg:         o.Agg,
+		M:           o.M,
+		Distinct:    o.Distinct,
+		Workers:     o.Workers,
+		BatchWidth:  o.BatchWidth,
+		Relabel:     o.Relabel,
+		Accuracy:    o.Accuracy,
+		Tenant:      o.Tenant,
+		Budget:      o.Budget,
 	}
-	return o.Measure
+	if o.LowPriority {
+		q.Priority = service.PriorityBatch
+	}
+	return q
+}
+
+// resolve resolves a one-shot call's options through the execution core,
+// wrapping failures in ErrInvalidOptions. %w twice keeps the cause
+// inspectable — errors.Is still matches ErrUnknownMeasure through it.
+func resolve(q exec.Query) (exec.Resolved, error) {
+	r, err := exec.Resolve(q)
+	if err != nil {
+		return r, fmt.Errorf("%w: %w", ErrInvalidOptions, err)
+	}
+	return r, nil
 }
 
 // Measures lists the registered proximity-measure names — the valid values
@@ -304,62 +285,32 @@ func TopKPairs(g *Graph, p, q *NodeSet, k int, opts *Options) ([]PairResult, err
 
 // Score computes the truncated proximity score of (u, v) directly —
 // h_d(u, v) under the default DHT measure, or whatever Options.MeasureName
-// selects.
+// selects. A node id outside the graph fails with ErrOutOfRange.
 func Score(g *Graph, u, v NodeID, opts *Options) (float64, error) {
-	kern, params, d, _, _, err := opts.resolveMeasure()
+	if g == nil {
+		return 0, ErrNilGraph
+	}
+	r, err := resolve(toQuery(opts))
 	if err != nil {
 		return 0, err
 	}
-	if !kern.WalkBased {
-		ev, err := kern.NewEvaluator(g, params, d)
-		if err != nil {
-			return 0, err
-		}
-		var dst [1]float64
-		if err := ev.ScoresInto(u, []NodeID{v}, d, dst[:]); err != nil {
-			return 0, err
-		}
-		return dst[0], nil
-	}
-	e, err := dht.NewEngine(g, params, d)
-	if err != nil {
-		return 0, err
-	}
-	return e.ForwardScoreKind(opts.walkKind(kern), u, v, d), nil
+	return r.Score(g, nil, u, v)
 }
 
 // ScoresFrom computes the score of (u, v) for every node u at once — one
 // backward walk to v for the walk measures, one evaluated column for the
 // matrix ones (SimRank is symmetric, so its column equals its row). out
-// must have length g.NumNodes() (or be nil to allocate).
+// must have length g.NumNodes() (or be nil to allocate); a wrong length or
+// a v outside the graph fails with ErrOutOfRange.
 func ScoresFrom(g *Graph, v NodeID, opts *Options, out []float64) ([]float64, error) {
-	kern, params, d, _, _, err := opts.resolveMeasure()
+	if g == nil {
+		return nil, ErrNilGraph
+	}
+	r, err := resolve(toQuery(opts))
 	if err != nil {
 		return nil, err
 	}
-	if out == nil {
-		out = make([]float64, g.NumNodes())
-	}
-	if !kern.WalkBased {
-		ev, err := kern.NewEvaluator(g, params, d)
-		if err != nil {
-			return nil, err
-		}
-		targets := make([]NodeID, g.NumNodes())
-		for i := range targets {
-			targets[i] = NodeID(i)
-		}
-		if err := ev.ScoresInto(v, targets, d, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	e, err := dht.NewEngine(g, params, d)
-	if err != nil {
-		return nil, err
-	}
-	e.BackWalkKind(opts.walkKind(kern), v, d, out)
-	return out, nil
+	return r.ScoresFrom(g, v, out)
 }
 
 // TopK runs a top-k n-way join over the query graph, returning the k

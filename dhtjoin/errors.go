@@ -3,6 +3,7 @@ package dhtjoin
 import (
 	"errors"
 
+	"repro/internal/exec"
 	"repro/internal/measure"
 	"repro/internal/service"
 )
@@ -28,7 +29,8 @@ var (
 	ErrInvalidQueryGraph = errors.New("dhtjoin: invalid query graph")
 
 	// ErrInvalidOptions reports Options that do not resolve: bad DHT
-	// coefficients, a non-positive depth, or a negative per-edge budget.
+	// coefficients, a non-positive depth, a negative per-edge budget, an
+	// unknown measure, accuracy or relabel mode.
 	ErrInvalidOptions = errors.New("dhtjoin: invalid options")
 
 	// ErrQueryForm reports a Query holding neither — or both — of the two
@@ -47,6 +49,11 @@ var (
 	// dedicated to a different measure, or an invalid relabel mode.
 	ErrHintConflict = errors.New("dhtjoin: hint conflicts with the query")
 )
+
+// ErrOutOfRange reports a Score/ScoresFrom node id outside [0, NumNodes)
+// or a ScoresFrom output column whose length is not NumNodes. It is the
+// execution core's sentinel, shared with Service.Score.
+var ErrOutOfRange = exec.ErrOutOfRange
 
 // ErrUnknownMeasure reports an Options.MeasureName (or Query.WithMeasure
 // argument) naming no registered proximity measure; Measures lists the

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"iter"
 
-	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/join2"
 	"repro/internal/measure"
 	"repro/internal/plan"
@@ -159,80 +159,73 @@ func (qy *Query) WithMeasure(name string) *Query {
 	return &cp
 }
 
-// kernel resolves the query's measure kernel. Callers run it only after
-// Validate has accepted the options, so lookup cannot fail here; an unknown
-// name yields the zero kernel, which plans like the walk family.
-func (qy *Query) kernel() measure.Kernel {
-	var name string
-	if qy.opts != nil {
-		name = qy.opts.MeasureName
-	}
-	kern, _ := measure.Lookup(name)
-	return kern
-}
-
 // Validate checks the query's inputs without executing it, returning the
 // package's typed errors (wrapped, so use errors.Is).
 func (qy *Query) Validate() error {
+	_, err := qy.resolve()
+	return err
+}
+
+// resolve validates the query form and node sets, then resolves options
+// and hints through the execution core.
+func (qy *Query) resolve() (exec.Resolved, error) {
 	if qy == nil || qy.g == nil {
-		return ErrNilGraph
+		return exec.Resolved{}, ErrNilGraph
 	}
 	pairForm := qy.p != nil || qy.q != nil
 	if pairForm == (qy.join != nil) {
-		return ErrQueryForm
+		return exec.Resolved{}, ErrQueryForm
 	}
 	if pairForm {
 		if qy.p == nil || qy.p.Len() == 0 {
-			return fmt.Errorf("%w (P)", ErrEmptyNodeSet)
+			return exec.Resolved{}, fmt.Errorf("%w (P)", ErrEmptyNodeSet)
 		}
 		if qy.q == nil || qy.q.Len() == 0 {
-			return fmt.Errorf("%w (Q)", ErrEmptyNodeSet)
+			return exec.Resolved{}, fmt.Errorf("%w (Q)", ErrEmptyNodeSet)
 		}
 		if err := qy.p.Validate(qy.g); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+			return exec.Resolved{}, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 		}
 		if err := qy.q.Validate(qy.g); err != nil {
-			return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+			return exec.Resolved{}, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 		}
 	} else if err := qy.join.Validate(qy.g); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
+		return exec.Resolved{}, fmt.Errorf("%w: %v", ErrInvalidQueryGraph, err)
 	}
-	if _, _, _, _, err := qy.opts.resolve(); err != nil {
-		// %w twice keeps the cause inspectable — errors.Is still matches
-		// ErrUnknownMeasure through the ErrInvalidOptions wrapper.
-		return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
+	// A bad hint is the hint's fault, not the options': check it before it
+	// overrides Options.Relabel.
+	if err := exec.ValidRelabel(qy.hints.Relabel); err != nil {
+		return exec.Resolved{}, fmt.Errorf("%w: %v", ErrHintConflict, err)
 	}
-	if _, err := qy.accuracy(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidOptions, err)
+	q := toQuery(qy.opts)
+	q.Algorithm = qy.hints.Algorithm
+	if qy.hints.Workers != 0 {
+		q.Workers = qy.hints.Workers
 	}
-	return qy.validateHints()
+	if qy.hints.BatchWidth != 0 {
+		q.BatchWidth = qy.hints.BatchWidth
+	}
+	if qy.hints.Relabel != RelabelOff {
+		q.Relabel = qy.hints.Relabel
+	}
+	r, err := resolve(q)
+	if err != nil {
+		return r, err
+	}
+	return r, hintErr(r.Forced(qy.class()))
 }
 
-// accuracy resolves Options.Accuracy to the planner knob.
-func (qy *Query) accuracy() (plan.Accuracy, error) {
-	if qy.opts == nil {
-		return plan.Exact, nil
-	}
-	return plan.ParseAccuracy(qy.opts.Accuracy)
-}
-
-// validateHints rejects invalid hint combinations with the typed sentinels.
-func (qy *Query) validateHints() error {
-	switch qy.hints.Relabel {
-	case RelabelOff, RelabelDegree, RelabelBFS:
-	default:
-		return fmt.Errorf("%w: unknown relabel mode %d", ErrHintConflict, qy.hints.Relabel)
-	}
-	if qy.hints.Algorithm == "" {
+// hintErr maps the planner's forced-executor errors onto the typed hint
+// sentinels.
+func hintErr(err error) error {
+	switch {
+	case err == nil:
 		return nil
-	}
-	if err := plan.ValidateForced(qy.class(), qy.hints.Algorithm, qy.kernel().PlanMeasure); err != nil {
-		if errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure) {
-			return fmt.Errorf("%w: %v", ErrHintConflict, err)
-		}
+	case errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure):
+		return fmt.Errorf("%w: %v", ErrHintConflict, err)
+	default:
 		return fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
 	}
-	return nil
 }
 
 // class maps the query form to its planner class.
@@ -243,58 +236,18 @@ func (qy *Query) class() plan.Class {
 	return plan.TwoWay
 }
 
-// knobs resolves the execution knobs hints may override.
-func (qy *Query) knobs() (workers, batchWidth int, relabel RelabelMode) {
-	if qy.opts != nil {
-		workers, batchWidth, relabel = qy.opts.Workers, qy.opts.BatchWidth, qy.opts.Relabel
-	}
-	if qy.hints.Workers != 0 {
-		workers = qy.hints.Workers
-	}
-	if qy.hints.BatchWidth != 0 {
-		batchWidth = qy.hints.BatchWidth
-	}
-	if qy.hints.Relabel != RelabelOff {
-		relabel = qy.hints.Relabel
-	}
-	return workers, batchWidth, relabel
-}
-
-// workload assembles the planner's view of the query. k is the demand the
-// plan is sized for (streams have unknown demand, so callers pass the
-// initial batch budget); the graph's structural stats come from the cached
-// Graph.Stats snapshot.
-func (qy *Query) workload(d, k, m int) plan.Workload {
-	workers, batchWidth, _ := qy.knobs()
-	w := plan.Workload{Stats: qy.g.Stats(), K: k, M: m, D: d, Workers: workers, BatchWidth: batchWidth}
-	w.Measure = qy.kernel().PlanMeasure
-	// Invalid accuracy spellings were rejected at Validate/open time; a
-	// parse failure here can only leave the conservative Exact default.
-	w.Accuracy, _ = qy.accuracy()
-	if qy.join != nil {
-		w.SetSizes = make([]int, qy.join.NumSets())
-		for i := range w.SetSizes {
-			w.SetSizes[i] = qy.join.Set(i).Len()
-		}
-		for _, e := range qy.join.Edges() {
-			w.QueryEdges = append(w.QueryEdges, [2]int{e.From, e.To})
-		}
-		return w
-	}
-	w.P, w.Q = qy.p.Len(), qy.q.Len()
-	return w
-}
-
 // decide runs the planner (or validates the forced hint) for demand k.
-func (qy *Query) decide(d, k, m int) (*QueryPlan, error) {
-	pl, err := plan.Decide(qy.class(), qy.workload(d, k, m), qy.hints.Algorithm)
-	if err != nil {
-		if errors.Is(err, plan.ErrWrongClass) || errors.Is(err, plan.ErrWrongMeasure) {
-			return nil, fmt.Errorf("%w: %v", ErrHintConflict, err)
-		}
-		return nil, fmt.Errorf("%w: %v", ErrUnknownAlgorithm, err)
+// The plan is priced against the original graph's cached stats: relabeling
+// permutes ids, never structure.
+func (qy *Query) decide(r *exec.Resolved, k int) (*QueryPlan, error) {
+	var w plan.Workload
+	if qy.join != nil {
+		w = r.JoinWorkload(qy.g, qy.join)
+	} else {
+		w = r.PairWorkload(qy.g, qy.p.Len(), qy.q.Len(), k)
 	}
-	return pl, nil
+	pl, err := plan.Decide(qy.class(), w, r.Algorithm)
+	return pl, hintErr(err)
 }
 
 // Explain validates the query and returns the plan its streaming entry
@@ -310,14 +263,11 @@ func (qy *Query) decide(d, k, m int) (*QueryPlan, error) {
 // alongside the full cost table.
 func (qy *Query) Explain(ctx context.Context) (*QueryPlan, error) {
 	_ = ctx // planning never blocks; ctx kept for API symmetry with execution
-	if err := qy.Validate(); err != nil {
+	r, err := qy.resolve()
+	if err != nil {
 		return nil, err
 	}
-	_, d, _, m, err := qy.opts.resolve()
-	if err != nil {
-		return nil, err // unreachable: Validate already resolved the options
-	}
-	return qy.decide(d, m, m)
+	return qy.decide(&r, r.M)
 }
 
 // ExplainTopK returns the plan the batch wrappers would run for demand k:
@@ -329,80 +279,51 @@ func (qy *Query) ExplainTopK(ctx context.Context, k int) (*QueryPlan, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
-	if err := qy.Validate(); err != nil {
+	r, err := qy.resolve()
+	if err != nil {
 		return nil, err
 	}
-	_, d, _, m, err := qy.opts.resolve()
+	return qy.decide(&r, k)
+}
+
+// prepare resolves a query of the given class and plans it for demand k
+// (0 selects the resolved per-edge budget M).
+func (qy *Query) prepare(class plan.Class, k int) (exec.Resolved, *QueryPlan, error) {
+	r, err := qy.resolve()
 	if err != nil {
-		return nil, err // unreachable: Validate already resolved the options
+		return r, nil, err
 	}
-	if qy.join != nil {
-		return qy.decide(d, m, m)
+	if c := qy.class(); c != class {
+		return r, nil, fmt.Errorf("%w: %s stream requested, query is %s", ErrQueryForm, class, c)
 	}
-	return qy.decide(d, k, m)
+	if k <= 0 {
+		k = r.M
+	}
+	pl, err := qy.decide(&r, k)
+	return r, pl, err
 }
 
 // openPairs validates and opens the 2-way stream with the given initial
 // batch budget (0 selects the resolved per-edge budget, Options.M). batch
-// marks a drain-exactly-initial caller (TopKPairs): the stream then skips
-// the incremental F structure — populating it costs O(|P|·|Q|) heap
-// insertions that a caller who never pulls past the initial batch would
-// pay for nothing — and runs one plain top-k join behind a doubling
-// re-join, which prices the wrapper identically to a direct joiner call.
+// marks a drain-exactly-initial caller (TopKPairs), which prices the
+// wrapper identically to a direct joiner call; see exec.OpenPairs. The
+// stream runs cache-less: the Options.Budget deadline, the walk-round
+// cancellation poll and a per-call relabeling are its whole environment.
 func (qy *Query) openPairs(ctx context.Context, initial int, batch bool) (*PairStream, error) {
-	if err := qy.Validate(); err != nil {
-		return nil, err
-	}
-	if qy.join != nil {
-		return nil, fmt.Errorf("%w: 2-way stream requested for an n-way query", ErrQueryForm)
-	}
-	kern, params, d, _, m, err := qy.opts.resolveMeasure()
+	r, pl, err := qy.prepare(plan.TwoWay, initial)
 	if err != nil {
 		return nil, err
 	}
 	if initial <= 0 {
-		initial = m
+		initial = r.M
 	}
-	// Plan against the original graph's cached stats (relabeling permutes
-	// ids, never structure), then execute the pick on the possibly
-	// relabeled config. All executors produce bit-identical rankings, so
-	// the choice is purely a cost decision.
-	pl, err := qy.decide(d, initial, m)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := qy.budgetContext(ctx)
-	cfg := join2.Config{Graph: qy.g, Params: params, D: d, P: qy.p.Nodes(), Q: qy.q.Nodes()}
-	workers, batchWidth, relabel := qy.knobs()
-	cfg.Workers = workers
-	cfg.BatchWidth = batchWidth
-	// The joiners poll this at walk-round granularity, so a cancelled ctx
-	// (or an expired budget) stops the join mid-round instead of only
-	// between pulls. context.Cause is nil while the ctx is live.
-	cfg.Cancel = func() error { return context.Cause(ctx) }
-	cfg.Measure = qy.opts.walkKind(kern)
-	rl := relabelPairConfig(&cfg, relabel)
-	st, err := join2.NewNamedStream(pl.Algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
+	ctx, cancel := exec.BudgetContext(ctx, r.Budget)
+	st, err := r.OpenPairs(pl.Algorithm, exec.OneShot(ctx, qy.g, r.Relabel), qy.p.Nodes(), qy.q.Nodes(), initial, batch)
 	if err != nil {
 		cancel()
 		return nil, err
 	}
-	return &PairStream{ctx: ctx, cancel: cancel, st: st, rl: rl}, nil
-}
-
-// budgetContext applies Options.Budget as a deadline whose cancellation
-// cause is ErrBudgetExceeded — distinguishable from a caller cancel, so
-// streams can degrade to a truncated-but-correct prefix instead of erroring.
-// A nil ctx means Background; without a budget the ctx passes through with a
-// no-op cancel.
-func (qy *Query) budgetContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if qy.opts == nil || qy.opts.Budget <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeoutCause(ctx, qy.opts.Budget, ErrBudgetExceeded)
+	return &PairStream{stream[PairResult]{ctx: ctx, cancel: cancel, st: st}}, nil
 }
 
 // OpenPairs opens the rank-ordered pair stream of a 2-way query. The caller
@@ -492,58 +413,20 @@ func (qy *Query) Results(ctx context.Context) iter.Seq2[PairResult, error] {
 	}
 }
 
-// openAnswers validates and opens the n-way stream with the given initial
-// per-edge budget (0 selects the resolved Options.M).
-func (qy *Query) openAnswers(ctx context.Context, initial int) (*AnswerStream, error) {
-	if err := qy.Validate(); err != nil {
-		return nil, err
-	}
-	if qy.join == nil {
-		return nil, fmt.Errorf("%w: n-way stream requested for a 2-way query", ErrQueryForm)
-	}
-	kern, params, d, agg, m, err := qy.opts.resolveMeasure()
-	if err != nil {
-		return nil, err
-	}
-	if initial > 0 {
-		m = initial
-	}
-	// Plan before the relabel rewrite, as in openPairs; every n-way
-	// operator streams the identical ranking, so the pick is cost-only.
-	pl, err := qy.decide(d, m, m)
-	if err != nil {
-		return nil, err
-	}
-	// K is required by Spec.Validate but never bounds a stream; the PBRJ
-	// emission loop is k-free by construction.
-	spec := core.Spec{Graph: qy.g, Query: qy.join, Params: params, D: d, Agg: agg, K: 1}
-	workers, batchWidth, relabel := qy.knobs()
-	spec.Workers = workers
-	spec.BatchWidth = batchWidth
-	if qy.opts != nil {
-		spec.Distinct = qy.opts.Distinct
-	}
-	spec.Measure = qy.opts.walkKind(kern)
-	ctx, cancel := qy.budgetContext(ctx)
-	spec.Cancel = func() error { return context.Cause(ctx) }
-	rl := relabelSpec(&spec, relabel)
-	alg, err := core.NewNamed(pl.Algorithm, spec, m)
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	st, err := alg.Stream()
-	if err != nil {
-		cancel()
-		return nil, err
-	}
-	return &AnswerStream{ctx: ctx, cancel: cancel, st: st, rl: rl}, nil
-}
-
 // OpenAnswers opens the rank-ordered answer stream of an n-way query; see
 // OpenPairs for the handle contract.
 func (qy *Query) OpenAnswers(ctx context.Context) (*AnswerStream, error) {
-	return qy.openAnswers(ctx, 0)
+	r, pl, err := qy.prepare(plan.NWay, 0)
+	if err != nil {
+		return nil, err
+	}
+	ctx, cancel := exec.BudgetContext(ctx, r.Budget)
+	st, err := r.OpenAnswers(pl.Algorithm, exec.OneShot(ctx, qy.g, r.Relabel), qy.join)
+	if err != nil {
+		cancel()
+		return nil, err
+	}
+	return &AnswerStream{stream[Answer]{ctx: ctx, cancel: cancel, st: st}}, nil
 }
 
 // Answers executes an n-way query as a pull-based iterator — the n-way
@@ -574,12 +457,23 @@ func (qy *Query) Answers(ctx context.Context) iter.Seq2[Answer, error] {
 
 // PairStream is the pull handle of a 2-way query: results arrive one at a
 // time in descending score order (prefix-identical to the batch ranking).
-// Single-goroutine, like the engines it drives.
-type PairStream struct {
-	ctx       context.Context
-	cancel    context.CancelFunc
-	st        join2.Stream
-	rl        *Relabeling
+// Single-goroutine, like the engines it drives. Next yields one PairResult
+// at a time and NextK a []PairResult; the methods (Next, NextK, Stop,
+// Truncated) are shared with AnswerStream.
+type PairStream struct{ stream[PairResult] }
+
+// AnswerStream is the pull handle of an n-way query, with PairStream's
+// contract: Next yields one Answer at a time and NextK an []Answer.
+type AnswerStream struct{ stream[Answer] }
+
+// stream is the pull-handle logic both query forms share.
+type stream[T any] struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	st     interface {
+		Next() (T, bool, error)
+		Release()
+	}
 	stopped   bool
 	exhausted bool
 	truncated bool
@@ -589,28 +483,29 @@ type PairStream struct {
 // budget (Options.Budget) expired. The results pulled before the deadline
 // are still bit-identical to the same-length prefix of the full ranking —
 // the budget shortens the ranking, never corrupts it.
-func (s *PairStream) Truncated() bool { return s.truncated }
+func (s *stream[T]) Truncated() bool { return s.truncated }
 
-// Next returns the next-best pair. ok is false once the |P|·|Q| candidate
-// space is exhausted (the stream auto-stops and further calls keep
-// reporting ok=false); pulling after an explicit Stop returns
-// ErrStreamStopped instead. A cancelled context surfaces as
-// (zero, false, ctx.Err()) and also stops the stream.
-func (s *PairStream) Next() (PairResult, bool, error) {
+// Next returns the next-best result. ok is false once the candidate space
+// is exhausted (the stream auto-stops and further calls keep reporting
+// ok=false); pulling after an explicit Stop returns ErrStreamStopped
+// instead. A cancelled context surfaces as (zero, false, ctx.Err()) and
+// also stops the stream.
+func (s *stream[T]) Next() (T, bool, error) {
+	var zero T
 	if s.exhausted {
-		return PairResult{}, false, nil
+		return zero, false, nil
 	}
 	if s.stopped {
-		return PairResult{}, false, ErrStreamStopped
+		return zero, false, ErrStreamStopped
 	}
 	if err := context.Cause(s.ctx); err != nil {
 		if errors.Is(err, ErrBudgetExceeded) {
 			s.truncated, s.exhausted = true, true
 			s.Stop()
-			return PairResult{}, false, nil
+			return zero, false, nil
 		}
 		s.Stop()
-		return PairResult{}, false, err
+		return zero, false, err
 	}
 	r, ok, err := s.st.Next()
 	if err != nil || !ok {
@@ -621,11 +516,7 @@ func (s *PairStream) Next() (PairResult, bool, error) {
 			s.exhausted = true
 		}
 		s.Stop()
-		return PairResult{}, ok, err
-	}
-	if s.rl != nil {
-		r.Pair.P = s.rl.ToOld(r.Pair.P)
-		r.Pair.Q = s.rl.ToOld(r.Pair.Q)
+		return zero, ok, err
 	}
 	return r, true, nil
 }
@@ -633,7 +524,7 @@ func (s *PairStream) Next() (PairResult, bool, error) {
 // NextK pulls up to k further results — the "give me the next k"
 // continuation. Fewer than k are returned at exhaustion (on error, the
 // results drained before it come back alongside); k must be positive.
-func (s *PairStream) NextK(k int) ([]PairResult, error) {
+func (s *stream[T]) NextK(k int) ([]T, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
 	}
@@ -643,79 +534,7 @@ func (s *PairStream) NextK(k int) ([]PairResult, error) {
 // Stop ends the stream and releases every pooled engine it holds. It is
 // idempotent and always safe — including mid-stream, which is the whole
 // point: early termination must not leak pool entries.
-func (s *PairStream) Stop() {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	if s.cancel != nil {
-		s.cancel()
-	}
-	s.st.Release()
-}
-
-// AnswerStream is the pull handle of an n-way query; same contract as
-// PairStream.
-type AnswerStream struct {
-	ctx       context.Context
-	cancel    context.CancelFunc
-	st        core.TupleStream
-	rl        *Relabeling
-	stopped   bool
-	exhausted bool
-	truncated bool
-}
-
-// Truncated reports whether the stream ended early on an expired deadline
-// budget; see PairStream.Truncated.
-func (s *AnswerStream) Truncated() bool { return s.truncated }
-
-// Next returns the next-best answer; see PairStream.Next for the contract.
-func (s *AnswerStream) Next() (Answer, bool, error) {
-	if s.exhausted {
-		return Answer{}, false, nil
-	}
-	if s.stopped {
-		return Answer{}, false, ErrStreamStopped
-	}
-	if err := context.Cause(s.ctx); err != nil {
-		if errors.Is(err, ErrBudgetExceeded) {
-			s.truncated, s.exhausted = true, true
-			s.Stop()
-			return Answer{}, false, nil
-		}
-		s.Stop()
-		return Answer{}, false, err
-	}
-	a, ok, err := s.st.Next()
-	if err != nil || !ok {
-		if errors.Is(err, ErrBudgetExceeded) {
-			s.truncated, s.exhausted = true, true
-			err, ok = nil, false
-		} else if err == nil {
-			s.exhausted = true
-		}
-		s.Stop()
-		return Answer{}, ok, err
-	}
-	if s.rl != nil {
-		for i := range a.Nodes {
-			a.Nodes[i] = s.rl.ToOld(a.Nodes[i])
-		}
-	}
-	return a, true, nil
-}
-
-// NextK pulls up to k further answers; see PairStream.NextK.
-func (s *AnswerStream) NextK(k int) ([]Answer, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrInvalidK, k)
-	}
-	return join2.Drain(k, s.Next)
-}
-
-// Stop ends the stream and releases its pooled engines; idempotent.
-func (s *AnswerStream) Stop() {
+func (s *stream[T]) Stop() {
 	if s.stopped {
 		return
 	}

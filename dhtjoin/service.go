@@ -66,34 +66,6 @@ func (s *Service) Graphs() []GraphInfo { return s.s.Graphs() }
 // Stats snapshots the service counters.
 func (s *Service) Stats() ServiceStats { return s.s.Stats() }
 
-// toQuery maps Options onto the serving layer's query form. The field sets
-// are isomorphic and both resolve defaults identically, which is what keeps
-// served results bit-identical to one-shot calls.
-func toQuery(o *Options) service.Query {
-	if o == nil {
-		return service.Query{}
-	}
-	q := service.Query{
-		Params:      o.Params,
-		Epsilon:     o.Epsilon,
-		D:           o.D,
-		Measure:     o.Measure,
-		MeasureName: o.MeasureName,
-		Agg:         o.Agg,
-		M:           o.M,
-		Distinct:    o.Distinct,
-		Workers:     o.Workers,
-		BatchWidth:  o.BatchWidth,
-		Relabel:     o.Relabel,
-		Tenant:      o.Tenant,
-		Budget:      o.Budget,
-	}
-	if o.LowPriority {
-		q.Priority = service.PriorityBatch
-	}
-	return q
-}
-
 // TopKPairs serves a top-k 2-way join on the named graph, bit-identical to
 // the package-level TopKPairs with the same Options. ctx cancels the work
 // (including the wait for worker admission); nil means Background.

@@ -1,6 +1,10 @@
 package service
 
-import "errors"
+import (
+	"errors"
+
+	"repro/internal/exec"
+)
 
 // Typed sentinels for the hardening layer. They live here (rather than in the
 // public dhtjoin package) because dhtjoin imports internal/service; dhtjoin
@@ -17,7 +21,7 @@ var (
 	// streams distinguish it from a client cancel: budget expiry degrades to
 	// a partial-but-correct ranking prefix marked truncated, while a client
 	// cancel is just an aborted request.
-	ErrBudgetExceeded = errors.New("service: deadline budget exceeded")
+	ErrBudgetExceeded = exec.ErrBudgetExceeded
 
 	// ErrDraining reports that the service has begun graceful drain and no
 	// longer admits new queries; in-flight streams are allowed to finish

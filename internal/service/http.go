@@ -65,7 +65,7 @@ func (o *OptionsJSON) toQuery() (Query, error) {
 	case o.Lambda != 0:
 		q.Params = dht.DHTLambda(o.Lambda)
 	}
-	// The measure resolves through the registry (service.Query.resolve calls
+	// The measure resolves through the registry (exec.Resolve calls
 	// measure.Lookup), so every registered kernel — walk-based or not — is
 	// one wire spelling away. An empty name keeps the legacy semantics: the
 	// PPR flag above may have implied the reach kind, and "dht" stays the

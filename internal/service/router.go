@@ -97,7 +97,7 @@ func (s *Service) routed(ctx context.Context, graphName string, p, q SetRef, que
 	}
 	// The wrapper has no session, no grant, and no engines of its own — the
 	// shards hold those — so Stop only releases the merged stream.
-	return &Join2Stream{svc: s, ctx: ctx, st: st}, true, nil
+	return &Join2Stream{stream[join2.Result]{run: run{svc: s, ctx: ctx}, st: st}}, true, nil
 }
 
 // ResolveSet resolves a set reference against the named graph, returning
@@ -124,14 +124,4 @@ func (s *Service) GraphData(name string) (*graph.Graph, []*graph.NodeSet, uint64
 		sets = append(sets, set)
 	}
 	return ge.g, sets, ge.gen, nil
-}
-
-// Validate resolves the query's parameters without running anything; the
-// shard side rejects a malformed scatter before opening a stream.
-func (q *Query) Validate() error {
-	if _, _, _, _, _, err := q.resolve(); err != nil {
-		return err
-	}
-	_, err := q.accuracy()
-	return err
 }

@@ -9,10 +9,11 @@
 // oversubscribe GOMAXPROCS.
 //
 // Results are bit-identical to the corresponding one-shot dhtjoin calls:
-// the service resolves defaults exactly as dhtjoin.Options does, worker
-// count and batch width never change a result (ties break on the canonical
-// pair key), memo-served columns are byte-for-byte the columns a fresh walk
-// would produce, and the result LRU stores exactly what the join returned.
+// both resolve, plan and open through the one execution core
+// (internal/exec), worker count and batch width never change a result (ties
+// break on the canonical pair key), memo-served columns are byte-for-byte
+// the columns a fresh walk would produce, and the result LRU stores exactly
+// what the join returned.
 package service
 
 import (
@@ -30,10 +31,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dht"
+	"repro/internal/exec"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/join2"
-	"repro/internal/measure"
 	"repro/internal/plan"
 	"repro/internal/rankjoin"
 	"repro/internal/store"
@@ -163,129 +164,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Query carries one request's join options; the zero value means the
-// paper's defaults, resolved identically to dhtjoin.Options (DHTλ with
-// λ = 0.2, ε = 1e-6, MIN aggregation, m = 50, B-IDJ-Y / PJ-i).
-type Query struct {
-	// Params are the DHT coefficients; zero means DHTLambda(0.2).
-	Params dht.Params
-	// Epsilon bounds the truncation error; zero means 1e-6. Ignored when D
-	// is set.
-	Epsilon float64
-	// D forces the truncation depth directly.
-	D int
-	// Measure selects first-hit DHT (zero) or reach probabilities. When
-	// MeasureName is set it is resolved from the registered kernel instead,
-	// and this field is ignored.
-	Measure dht.Kind
-	// MeasureName selects a registered proximity measure by name ("dht",
-	// "reach", "ppr", "simrank"); empty means "dht", the paper's measure.
-	// An unknown name fails the request with measure.ErrUnknownMeasure.
-	MeasureName string
-	// Agg is the n-way aggregate; nil means Min.
-	Agg rankjoin.Aggregate
-	// M is the initial per-edge budget of the n-way join; zero means 50.
-	M int
-	// Distinct drops n-way answers repeating a node across positions.
-	Distinct bool
-	// Workers requests a worker count; the admission controller may grant
-	// fewer (results are identical at any count). 0/1 serial, negative
-	// GOMAXPROCS.
-	Workers int
-	// BatchWidth tunes the batched walk kernel; 0 default, 1 disables.
-	BatchWidth int
-	// Relabel applies the locality-aware reordering (cached per graph).
-	Relabel graph.RelabelMode
-	// Algorithm forces the named registered executor ("B-IDJ-Y", "B-BJ",
-	// "PJ-i", "AP", …) instead of the cost-based planner's pick. Results
-	// are bit-identical under any choice; an unknown name or one of the
-	// wrong query class fails the request.
-	Algorithm string
-	// Accuracy selects the planner's kernel contract: "" or "exact" (the
-	// default) restricts plans to bit-identical executors, "fast" also
-	// admits the certified fast-kernel executors — same emitted ranking
-	// (every answer near the cut is re-verified through the exact kernel),
-	// different cost. Any other spelling fails the request.
-	Accuracy string
-	// Tenant attributes the request to an admission-quota bucket; empty is
-	// the anonymous shared bucket. Quotas never change results — only
-	// whether and when a request is admitted.
-	Tenant string
-	// Priority selects the admission class: PriorityInteractive (the zero
-	// value) or PriorityBatch. Batch requests still make progress under
-	// load, just at a lower weighted-fair share.
-	Priority int
-	// Budget is this query's wall-clock deadline budget; 0 defers to the
-	// service's DefaultBudget. An expired budget truncates the query to the
-	// ranking prefix produced so far (marked truncated) rather than failing
-	// it outright.
-	Budget time.Duration
-}
+// Query carries one request's join options: the execution core's query
+// type, so served requests resolve exactly as one-shot dhtjoin calls do.
+// Tenant, Priority and Budget are the serving layer's additions — quotas
+// and deadlines never change a result, only whether and how much of it is
+// served.
+type Query = exec.Query
 
 // Priority classes for Query.Priority.
 const (
 	PriorityInteractive = classInteractive
 	PriorityBatch       = classBatch
 )
-
-// resolve applies the defaults; it must stay in lockstep with
-// dhtjoin.Options.resolve so served results are bit-identical to one-shot
-// calls (the integration tests pin this). The measure kernel is resolved
-// first because it owns the customary parameterization (e.g. "ppr" defaults
-// zero-value params to dht.PPR(0.5) before the DHTλ(0.2) fallback applies).
-func (q *Query) resolve() (measure.Kernel, dht.Params, int, rankjoin.Aggregate, int, error) {
-	kern, err := measure.Lookup(q.MeasureName)
-	if err != nil {
-		return measure.Kernel{}, dht.Params{}, 0, nil, 0, err
-	}
-	p := kern.ResolveParams(q.Params)
-	if p == (dht.Params{}) {
-		p = dht.DHTLambda(0.2)
-	}
-	if err := p.Validate(); err != nil {
-		return measure.Kernel{}, dht.Params{}, 0, nil, 0, err
-	}
-	d := q.D
-	if d == 0 {
-		eps := q.Epsilon
-		if eps == 0 {
-			eps = 1e-6
-		}
-		d = p.StepsForEpsilon(eps)
-	}
-	if d < 1 {
-		return measure.Kernel{}, dht.Params{}, 0, nil, 0, fmt.Errorf("service: depth d must be >= 1, got %d", d)
-	}
-	agg := q.Agg
-	if agg == nil {
-		agg = rankjoin.Min
-	}
-	m := q.M
-	if m == 0 {
-		m = 50
-	}
-	if m < 0 {
-		return measure.Kernel{}, dht.Params{}, 0, nil, 0, fmt.Errorf("service: m must be >= 0, got %d", m)
-	}
-	return kern, p, d, agg, m, nil
-}
-
-// applyKernel normalizes the query's measure fields from the resolved
-// kernel: an explicit measure name fixes the walk kind (so "ppr" folds reach
-// probabilities regardless of the legacy Measure field, while a zero-valued
-// MeasureName keeps honoring a caller-set Measure kind), and the name is
-// canonicalized so "" and "dht" share cache and session keys.
-func (q *Query) applyKernel(kern measure.Kernel) {
-	if q.MeasureName != "" && kern.WalkBased {
-		q.Measure = kern.Walk
-	}
-	q.MeasureName = kern.Name
-}
-
-// accuracy resolves the planner's kernel-contract knob.
-func (q *Query) accuracy() (plan.Accuracy, error) {
-	return plan.ParseAccuracy(q.Accuracy)
-}
 
 // SetRef names the node set of one join position: either a set declared by
 // the loaded graph (Name) or an explicit node list (IDs). Exactly one must
@@ -543,14 +433,10 @@ func (s *Service) WriteTimeout() time.Duration {
 // notePanic counts one recovered panic (stream pulls and HTTP handlers).
 func (s *Service) notePanic() { s.panics.Add(1) }
 
-// budgetContext applies the query's resolved wall-clock budget to ctx,
-// installing ErrBudgetExceeded as the cancellation cause so budget expiry is
-// distinguishable from a client cancel. The returned cancel must always be
-// called. With no budget configured the context passes through unchanged.
+// budgetContext applies the query's wall-clock budget — its own, else the
+// service default, capped by MaxBudget — to ctx (see exec.BudgetContext).
+// The returned cancel must always be called.
 func (s *Service) budgetContext(ctx context.Context, q *Query) (context.Context, context.CancelFunc) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	b := q.Budget
 	if b <= 0 {
 		b = s.cfg.DefaultBudget
@@ -558,10 +444,7 @@ func (s *Service) budgetContext(ctx context.Context, q *Query) (context.Context,
 	if s.cfg.MaxBudget > 0 && (b <= 0 || b > s.cfg.MaxBudget) {
 		b = s.cfg.MaxBudget
 	}
-	if b <= 0 {
-		return ctx, func() {}
-	}
-	return context.WithTimeoutCause(ctx, b, ErrBudgetExceeded)
+	return exec.BudgetContext(ctx, b)
 }
 
 // planFor runs the planner for one request through the session's plan
@@ -910,43 +793,38 @@ func refKey(sb *strings.Builder, ref SetRef) {
 // ranking: the plan cache is keyed off this string, and an exact-accuracy
 // request must never be served a plan whose eligibility set included the
 // certified executors (or vice versa).
-func queryKey(sb *strings.Builder, params dht.Params, d int, q *Query, acc plan.Accuracy) {
-	fmt.Fprintf(sb, "|p=%v,%v,%v|d=%d|ms=%d|mn=%s|acc=%s", params.Alpha, params.Beta, params.Lambda, d, q.Measure, q.MeasureName, acc)
+func queryKey(sb *strings.Builder, r *exec.Resolved) {
+	fmt.Fprintf(sb, "|p=%v,%v,%v|d=%d|ms=%d|mn=%s|acc=%s", r.Params.Alpha, r.Params.Beta, r.Params.Lambda, r.D, r.Measure, r.MeasureName, r.Acc)
 }
 
-// join2Req is one resolved 2-way request: registry entry, session, node
-// sets (original id space), resolved parameters, and the prefix-cache key.
+// join2Req is one resolved 2-way request: session, node sets (original id
+// space), the resolved query, and the prefix-cache key.
 type join2Req struct {
 	svc    *Service
 	sess   *session
 	pn, qn []graph.NodeID
-	params dht.Params
-	d      int
-	m      int // resolved per-edge budget: the default initial stream batch
-	acc    plan.Accuracy
-	kern   measure.Kernel
-	query  Query
+	r      exec.Resolved
 	key    string
 }
 
-// resolveJoin2 resolves names, sets, parameters, and the session. A forced
-// algorithm is validated here, before any cache can serve the request —
-// a bad hint must fail even when the ranking itself is already cached.
+// resolve runs the execution core's option resolution plus the forced
+// algorithm check, counting the query against its measure. The forced
+// check runs here, before any cache can serve the request — a bad hint
+// must fail even when the ranking itself is already cached.
+func (s *Service) resolve(query Query, class plan.Class) (exec.Resolved, error) {
+	r, err := exec.Resolve(query)
+	if err != nil {
+		return r, err
+	}
+	s.recordMeasure(r.MeasureName)
+	return r, r.Forced(class)
+}
+
+// resolveJoin2 resolves options, names, sets, and the session.
 func (s *Service) resolveJoin2(graphName string, p, q SetRef, query Query) (*join2Req, error) {
-	kern, params, d, _, m, err := query.resolve()
+	r, err := s.resolve(query, plan.TwoWay)
 	if err != nil {
 		return nil, err
-	}
-	query.applyKernel(kern)
-	s.recordMeasure(kern.Name)
-	acc, err := query.accuracy()
-	if err != nil {
-		return nil, err
-	}
-	if query.Algorithm != "" {
-		if err := plan.ValidateForced(plan.TwoWay, query.Algorithm, kern.PlanMeasure); err != nil {
-			return nil, err
-		}
 	}
 	ge, err := s.graphFor(graphName)
 	if err != nil {
@@ -960,7 +838,7 @@ func (s *Service) resolveJoin2(graphName string, p, q SetRef, query Query) (*joi
 	if err != nil {
 		return nil, err
 	}
-	sess, err := s.sessionFor(ge, params, d, query.Relabel, kern.Name)
+	sess, err := s.sessionFor(ge, r.Params, r.D, r.Relabel, r.MeasureName)
 	if err != nil {
 		return nil, err
 	}
@@ -972,71 +850,107 @@ func (s *Service) resolveJoin2(graphName string, p, q SetRef, query Query) (*joi
 	refKey(&sb, p)
 	sb.WriteByte('|')
 	refKey(&sb, q)
-	queryKey(&sb, params, d, &query, acc)
-	return &join2Req{svc: s, sess: sess, pn: pn, qn: qn, params: params, d: d, m: m, acc: acc, kern: kern, query: query, key: sb.String()}, nil
+	queryKey(&sb, &r)
+	return &join2Req{svc: s, sess: sess, pn: pn, qn: qn, r: r, key: sb.String()}, nil
 }
 
 // open acquires admission (honoring ctx) and starts the pair stream.
 // initial sizes the first batch; 0 selects the resolved per-edge budget.
-// batch marks a drain-exactly-initial caller (Join2): the stream then
-// skips the incremental F structure — whose O(|P|·|Q|) population a caller
-// that never pulls past the initial batch pays for nothing — and runs one
-// plain top-k join behind a doubling re-join.
+// batch marks a drain-exactly-initial caller (Join2); see exec.OpenPairs.
 func (rq *join2Req) open(ctx context.Context, initial int, batch bool) (*Join2Stream, error) {
 	if initial <= 0 {
-		initial = rq.m
+		initial = rq.r.M
 	}
 	// Plan (or validate the forced algorithm) before admission: planning is
 	// sub-microsecond against the graph's cached stats, and a rejected hint
 	// must not consume admission tokens.
-	pl, err := rq.svc.planFor(rq.sess, plan.TwoWay, rq.key, initial, rq.workload(initial), rq.query.Algorithm)
+	pl, err := rq.svc.planFor(rq.sess, plan.TwoWay, rq.key, initial, rq.workload(initial), rq.r.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	// The budget clock starts here, covering the admission wait too: a
-	// request that spends its whole budget queued is already late.
-	qctx, cancel := rq.svc.budgetContext(ctx, &rq.query)
-	g, err := rq.svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority, resolveWorkers(rq.query.Workers))
+	rn, env, err := rq.svc.admit(ctx, rq.sess, &rq.r.Query)
 	if err != nil {
-		cancel()
-		return nil, admitErr(qctx, err)
-	}
-	if err := rq.svc.cfg.Fault.Inject(fault.Checkout); err != nil {
-		rq.svc.adm.release(g)
-		cancel()
 		return nil, err
 	}
-	sess := rq.sess
-	// The run-scoped counters feed the session calibration on Stop and
-	// forward every increment to the service's lifetime totals.
-	ctrs := &dht.Counters{Chain: &rq.svc.counters}
-	cfg := join2.Config{
-		Graph:      sess.g,
-		Params:     rq.params,
-		D:          rq.d,
-		P:          rq.pn,
-		Q:          rq.qn,
-		Measure:    rq.query.Measure,
-		Workers:    g.n,
-		BatchWidth: rq.query.BatchWidth,
-		Pool:       sess.pool,
-		Memo:       sess.memo,
-		Counters:   ctrs,
-		Cancel:     rq.svc.cancelPoll(qctx),
-	}
-	if sess.rl != nil {
-		cfg.P = sess.rl.MapToNew(cfg.P)
-		cfg.Q = sess.rl.MapToNew(cfg.Q)
-	}
-	st, err := join2.NewNamedStream(pl.Algorithm, cfg, join2.StreamSpec{Initial: initial}, batch)
+	st, err := rq.r.OpenPairs(pl.Algorithm, env, rq.pn, rq.qn, initial, batch)
 	if err != nil {
-		rq.svc.adm.release(g)
-		cancel()
+		rn.finish(nil)
 		return nil, err
 	}
 	rq.svc.recordPick(pl.Algorithm)
-	return &Join2Stream{svc: rq.svc, ctx: qctx, cancel: cancel, sess: sess, key: rq.key, st: st, rl: sess.rl, grant: g,
-		ctrs: ctrs, calib: sess.calibFor(planCertified(pl))}, nil
+	return &Join2Stream{stream[join2.Result]{run: rn, key: rq.key, st: st, calib: rq.sess.calibFor(planCertified(pl))}}, nil
+}
+
+// workload assembles the planner's view of the request for demand k.
+func (rq *join2Req) workload(k int) plan.Workload {
+	return rq.r.PairWorkload(rq.sess.g, len(rq.pn), len(rq.qn), k)
+}
+
+// run is the serving state one stream holds: its budget context, admission
+// grant, session, and run-scoped counters. Replays and routed streams carry
+// only svc and ctx (and a replay its session).
+type run struct {
+	svc       *Service
+	ctx       context.Context
+	cancel    context.CancelFunc // releases the budget timer; nil for replays
+	sess      *session           // nil for routed (cluster-merged) streams
+	grant     *grant
+	ctrs      *dht.Counters // run-scoped; feeds the session calibration on Stop
+	budgetHit bool          // the deadline budget cut the ranking short
+}
+
+// admit starts the budget clock, acquires admission, and assembles the
+// execution environment over the session's shared state. The budget clock
+// covers the admission wait too: a request that spends its whole budget
+// queued is already late.
+func (s *Service) admit(ctx context.Context, sess *session, q *Query) (run, exec.Env, error) {
+	qctx, cancel := s.budgetContext(ctx, q)
+	g, err := s.adm.acquire(qctx, q.Tenant, q.Priority, resolveWorkers(q.Workers))
+	if err != nil {
+		cancel()
+		return run{}, exec.Env{}, admitErr(qctx, err)
+	}
+	if err := s.cfg.Fault.Inject(fault.Checkout); err != nil {
+		s.adm.release(g)
+		cancel()
+		return run{}, exec.Env{}, err
+	}
+	// The run-scoped counters feed the session calibration on Stop and
+	// forward every increment to the service's lifetime totals.
+	ctrs := &dht.Counters{Chain: &s.counters}
+	env := exec.Env{
+		Graph:    sess.g,
+		Relabel:  sess.rl,
+		Pool:     sess.pool,
+		Memo:     sess.memo,
+		Counters: ctrs,
+		Cancel:   s.cancelPoll(qctx),
+		Workers:  g.n,
+	}
+	return run{svc: s, ctx: qctx, cancel: cancel, sess: sess, grant: g, ctrs: ctrs}, env, nil
+}
+
+// finish returns the run's admission tokens, stops its budget timer, and
+// feeds its observed walk counters to the calibration bucket the stream
+// executed under (nil for a stream that never opened). The caller has
+// already released the stream's engines.
+func (r *run) finish(calib *plan.Calibration) {
+	r.svc.adm.release(r.grant)
+	r.grant = nil
+	if r.cancel != nil {
+		r.cancel()
+	}
+	if r.ctrs != nil && calib != nil {
+		calib.Observe(r.ctrs.Snapshot(), r.sess.g.NumEdges())
+	}
+}
+
+// noteBudget records a budget-expiry truncation exactly once per stream.
+func (r *run) noteBudget(err error) {
+	if errors.Is(err, ErrBudgetExceeded) && !r.budgetHit {
+		r.budgetHit = true
+		r.svc.budgetTruncs.Add(1)
+	}
 }
 
 // planCertified reports whether the plan's chosen executor runs the
@@ -1077,22 +991,6 @@ func admitErr(ctx context.Context, err error) error {
 	return err
 }
 
-// workload assembles the planner's view of the request for demand k.
-func (rq *join2Req) workload(k int) plan.Workload {
-	return plan.Workload{
-		Stats:      rq.sess.g.Stats(),
-		P:          len(rq.pn),
-		Q:          len(rq.qn),
-		K:          k,
-		M:          rq.m,
-		D:          rq.d,
-		Measure:    rq.kern.PlanMeasure,
-		Workers:    rq.query.Workers,
-		BatchWidth: rq.query.BatchWidth,
-		Accuracy:   rq.acc,
-	}
-}
-
 // maxCachedPrefix bounds how much of a drained ranking a stream records
 // for publication to the result cache. Without a cap a single exhaustive
 // stream over large sets would make the server buffer (and then pin in the
@@ -1102,121 +1000,128 @@ func (rq *join2Req) workload(k int) plan.Workload {
 const maxCachedPrefix = 4096
 
 // Join2Stream streams one 2-way join request through the session's shared
-// pool and memo. It holds admission tokens and pooled engines until Stop —
-// callers MUST Stop (idempotent; draining to exhaustion or a ctx error
-// stops automatically). On Stop the drained prefix (up to maxCachedPrefix
-// results) is published to the session's result cache, so a later request
-// for any k up to that length is served without a join.
-type Join2Stream struct {
-	svc       *Service
-	ctx       context.Context
-	cancel    context.CancelFunc // releases the budget timer; nil for replays
-	sess      *session
-	key       string
-	st        join2.Stream
-	rl        *graph.Relabeling
-	grant     *grant
-	ctrs      *dht.Counters     // run-scoped; feeds the session calibration on Stop
-	calib     *plan.Calibration // the kernel bucket the run's counters feed
-	drained   []join2.Result
+// pool and memo; see stream for the contract.
+type Join2Stream struct{ stream[join2.Result] }
+
+// JoinNStream streams one n-way join request; see stream for the contract.
+type JoinNStream struct{ stream[core.Answer] }
+
+// stream is the serving stream logic both query forms share. It holds
+// admission tokens and pooled engines until Stop — callers MUST Stop
+// (idempotent; draining to exhaustion or a ctx error stops automatically).
+// On Stop the drained prefix (up to maxCachedPrefix results) is published
+// to the session's result cache, so a later request for any k up to that
+// length is served without a join.
+type stream[T any] struct {
+	run
+	key string // empty when the request bypasses the result cache
+	st  interface {
+		Next() (T, bool, error) // in the caller's id space
+		Release()
+	}
+	calib *plan.Calibration // the kernel bucket the run's counters feed
+	// clone deep-copies a result the caller could mutate (n-way answers
+	// own a Nodes slice); nil for value results.
+	clone     func(T) T
+	drained   []T
 	truncated bool // results past maxCachedPrefix were not recorded
-	budgetHit bool // the deadline budget cut the ranking short
 	exhausted bool
 	stopped   bool
 
 	// replay, when non-nil, is a cached complete ranking served in place
 	// of a live join (no engines, no admission tokens, nothing to publish).
-	replay []join2.Result
+	replay []T
 	pos    int
 }
 
 // Truncated reports whether the stream's deadline budget expired: everything
 // already returned is a correct ranking prefix, but the ranking was cut
 // short. Meaningful once Next has returned an error or Stop has run.
-func (s *Join2Stream) Truncated() bool { return s.budgetHit }
+func (s *stream[T]) Truncated() bool { return s.budgetHit }
 
-// Next returns the next-best pair in the caller's id space; ok is false at
-// exhaustion (or after Stop). A cancelled ctx stops the stream and returns
-// its cause: ErrBudgetExceeded marks a truncated-but-correct prefix, while a
-// plain cancel is an aborted request.
-func (s *Join2Stream) Next() (join2.Result, bool, error) {
+// copyOf returns v, deep-copied when the result type needs it.
+func (s *stream[T]) copyOf(v T) T {
+	if s.clone == nil {
+		return v
+	}
+	return s.clone(v)
+}
+
+// Next returns the next-best result in the caller's id space; ok is false
+// at exhaustion (or after Stop). A cancelled ctx stops the stream and
+// returns its cause: ErrBudgetExceeded marks a truncated-but-correct
+// prefix, while a plain cancel is an aborted request.
+func (s *stream[T]) Next() (T, bool, error) {
+	var zero T
 	if s.stopped {
-		return join2.Result{}, false, nil
+		return zero, false, nil
 	}
 	if s.ctx.Err() != nil {
 		err := context.Cause(s.ctx)
 		s.noteBudget(err)
 		s.Stop()
-		return join2.Result{}, false, err
+		return zero, false, err
 	}
 	if s.replay != nil {
 		if s.pos < len(s.replay) {
-			r := s.replay[s.pos]
+			// The replay slice is the cache's immutable snapshot.
+			v := s.copyOf(s.replay[s.pos])
 			s.pos++
-			return r, true, nil
+			return v, true, nil
 		}
 		s.exhausted = true
 		s.Stop()
-		return join2.Result{}, false, nil
+		return zero, false, nil
 	}
-	r, ok, err := s.safeNext()
+	v, ok, err := s.safeNext()
 	if err != nil {
 		s.noteBudget(err)
 		s.Stop()
-		return join2.Result{}, false, err
+		return zero, false, err
 	}
 	if !ok {
 		s.exhausted = true
 		s.Stop()
-		return join2.Result{}, false, nil
+		return zero, false, nil
 	}
-	if s.rl != nil {
-		r.Pair.P = s.rl.ToOld(r.Pair.P)
-		r.Pair.Q = s.rl.ToOld(r.Pair.Q)
-	}
-	if s.sess == nil {
-		// Routed (cluster-merged) streams have no session: nothing to record,
-		// no cache to publish to.
-		return r, true, nil
+	// Routed (cluster-merged) streams have no session and uncacheable
+	// requests no key: nothing to record. The caller owns v, so the
+	// recording keeps its own copy — a caller mutating a served result
+	// before Stop must not poison what Stop publishes.
+	if s.sess == nil || s.key == "" {
+		return v, true, nil
 	}
 	if len(s.drained) < maxCachedPrefix {
-		s.drained = append(s.drained, r)
+		s.drained = append(s.drained, s.copyOf(v))
 	} else {
 		s.truncated = true
 	}
-	return r, true, nil
+	return v, true, nil
 }
 
 // safeNext pulls from the underlying stream, converting a panic into an
 // error so a crashing joiner still flows into Stop (engines released,
 // admission returned) instead of unwinding through the caller.
-func (s *Join2Stream) safeNext() (r join2.Result, ok bool, err error) {
+func (s *stream[T]) safeNext() (v T, ok bool, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.svc.notePanic()
-			r, ok, err = join2.Result{}, false, fmt.Errorf("service: panic in join stream: %v", p)
+			var zero T
+			v, ok, err = zero, false, fmt.Errorf("service: panic in join stream: %v", p)
 		}
 	}()
 	return s.st.Next()
 }
 
-// noteBudget records a budget-expiry truncation exactly once per stream.
-func (s *Join2Stream) noteBudget(err error) {
-	if errors.Is(err, ErrBudgetExceeded) && !s.budgetHit {
-		s.budgetHit = true
-		s.svc.budgetTruncs.Add(1)
-	}
-}
-
 // NextK pulls up to k further results (fewer at exhaustion; on error the
 // results drained before it are returned alongside).
-func (s *Join2Stream) NextK(k int) ([]join2.Result, error) {
+func (s *stream[T]) NextK(k int) ([]T, error) {
 	return join2.Drain(k, s.Next)
 }
 
 // Stop releases the stream's engines and admission tokens and publishes the
 // drained prefix to the result cache. Idempotent.
-func (s *Join2Stream) Stop() {
+func (s *stream[T]) Stop() {
 	if s.stopped {
 		return
 	}
@@ -1224,22 +1129,13 @@ func (s *Join2Stream) Stop() {
 	if s.st != nil {
 		s.st.Release()
 	}
-	s.svc.adm.release(s.grant)
-	s.grant = nil
-	if s.cancel != nil {
-		s.cancel()
-	}
-	if s.ctrs != nil {
-		// Observed-cost feedback: the run's walk counters recalibrate the
-		// cost-unit estimate of the kernel bucket the stream executed under.
-		s.calib.Observe(s.ctrs.Snapshot(), s.sess.g.NumEdges())
-	}
-	if s.sess != nil && s.replay == nil && (len(s.drained) > 0 || s.exhausted) {
-		cp := make([]join2.Result, len(s.drained))
-		copy(cp, s.drained)
-		// A truncated recording is still a valid prefix, but it is not the
+	s.finish(s.calib)
+	if s.sess != nil && s.key != "" && s.replay == nil && (len(s.drained) > 0 || s.exhausted) {
+		// drained holds private copies and is never appended to again, so
+		// it is published as the immutable cache snapshot directly. A
+		// truncated recording is still a valid prefix, but it is not the
 		// complete ranking even if the stream ran to exhaustion.
-		s.sess.results.put(s.key, prefix{results: cp, n: len(cp), exhausted: s.exhausted && !s.truncated})
+		s.sess.results.put(s.key, prefix{results: s.drained, n: len(s.drained), exhausted: s.exhausted && !s.truncated})
 	}
 }
 
@@ -1266,7 +1162,7 @@ func (s *Service) OpenJoin2(ctx context.Context, graphName string, p, q SetRef, 
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		return &Join2Stream{svc: s, ctx: ctx, sess: rq.sess, replay: pre.results.([]join2.Result)}, nil
+		return &Join2Stream{stream[join2.Result]{run: run{svc: s, ctx: ctx, sess: rq.sess}, replay: pre.results.([]join2.Result)}}, nil
 	}
 	s.resultMisses.Add(1)
 	return rq.open(ctx, 0, false)
@@ -1378,37 +1274,19 @@ func (s *Service) Join2Meta(ctx context.Context, graphName string, p, q SetRef, 
 
 // joinNReq is one resolved n-way request.
 type joinNReq struct {
-	svc      *Service
-	sess     *session
-	nodeSets []*graph.NodeSet // original id space
-	edges    [][2]int
-	params   dht.Params
-	d        int
-	agg      rankjoin.Aggregate
-	m        int
-	acc      plan.Accuracy
-	kern     measure.Kernel
-	query    Query
-	key      string // empty when the request must bypass the cache
+	svc  *Service
+	sess *session
+	qg   *core.QueryGraph // original id space
+	r    exec.Resolved
+	key  string // empty when the request must bypass the cache
 }
 
-// resolveJoinN resolves names, sets, parameters, and the session; forced
+// resolveJoinN resolves options, names, sets, and the session; forced
 // algorithms are validated before any cache, as in resolveJoin2.
 func (s *Service) resolveJoinN(graphName string, sets []SetRef, edges [][2]int, query Query) (*joinNReq, error) {
-	kern, params, d, agg, m, err := query.resolve()
+	r, err := s.resolve(query, plan.NWay)
 	if err != nil {
 		return nil, err
-	}
-	query.applyKernel(kern)
-	s.recordMeasure(kern.Name)
-	acc, err := query.accuracy()
-	if err != nil {
-		return nil, err
-	}
-	if query.Algorithm != "" {
-		if err := plan.ValidateForced(plan.NWay, query.Algorithm, kern.PlanMeasure); err != nil {
-			return nil, err
-		}
 	}
 	ge, err := s.graphFor(graphName)
 	if err != nil {
@@ -1426,7 +1304,11 @@ func (s *Service) resolveJoinN(graphName string, sets []SetRef, edges [][2]int, 
 		}
 		nodeSets[i] = graph.NewNodeSet(name, ids)
 	}
-	sess, err := s.sessionFor(ge, params, d, query.Relabel, kern.Name)
+	qg := core.NewQueryGraph(nodeSets...)
+	for _, e := range edges {
+		qg.AddEdge(e[0], e[1])
+	}
+	sess, err := s.sessionFor(ge, r.Params, r.D, r.Relabel, r.MeasureName)
 	if err != nil {
 		return nil, err
 	}
@@ -1436,7 +1318,7 @@ func (s *Service) resolveJoinN(graphName string, sets []SetRef, edges [][2]int, 
 	// result cache rather than risk serving another aggregate's answers.
 	// Like the 2-way key, k is excluded: the cache stores ranking prefixes.
 	var key string
-	if builtinAgg(agg) {
+	if builtinAgg(r.Agg) {
 		var sb strings.Builder
 		sb.WriteString("joinN|")
 		for _, ref := range sets {
@@ -1446,232 +1328,36 @@ func (s *Service) resolveJoinN(graphName string, sets []SetRef, edges [][2]int, 
 		for _, e := range edges {
 			fmt.Fprintf(&sb, "e%d-%d,", e[0], e[1])
 		}
-		fmt.Fprintf(&sb, "|agg=%s|m=%d|dist=%v", agg.Name(), m, query.Distinct)
-		queryKey(&sb, params, d, &query, acc)
+		fmt.Fprintf(&sb, "|agg=%s|m=%d|dist=%v", r.Agg.Name(), r.M, r.Distinct)
+		queryKey(&sb, &r)
 		key = sb.String()
 	}
-	return &joinNReq{svc: s, sess: sess, nodeSets: nodeSets, edges: edges,
-		params: params, d: d, agg: agg, m: m, acc: acc, kern: kern, query: query, key: key}, nil
+	return &joinNReq{svc: s, sess: sess, qg: qg, r: r, key: key}, nil
 }
 
 // open acquires admission (honoring ctx) and starts the answer stream.
 func (rq *joinNReq) open(ctx context.Context) (*JoinNStream, error) {
 	// Plan before admission, as in join2Req.open.
-	pl, err := rq.svc.planFor(rq.sess, plan.NWay, rq.key, rq.m, rq.workload(), rq.query.Algorithm)
+	pl, err := rq.svc.planFor(rq.sess, plan.NWay, rq.key, rq.r.M, rq.workload(), rq.r.Algorithm)
 	if err != nil {
 		return nil, err
 	}
-	qctx, cancel := rq.svc.budgetContext(ctx, &rq.query)
-	g, err := rq.svc.adm.acquire(qctx, rq.query.Tenant, rq.query.Priority, resolveWorkers(rq.query.Workers))
+	rn, env, err := rq.svc.admit(ctx, rq.sess, &rq.r.Query)
 	if err != nil {
-		cancel()
-		return nil, admitErr(qctx, err)
-	}
-	if err := rq.svc.cfg.Fault.Inject(fault.Checkout); err != nil {
-		rq.svc.adm.release(g)
-		cancel()
 		return nil, err
 	}
-	sess := rq.sess
-	querySets := rq.nodeSets
-	if sess.rl != nil {
-		querySets = make([]*graph.NodeSet, len(rq.nodeSets))
-		for i, set := range rq.nodeSets {
-			querySets[i] = sess.rl.MapSetToNew(set)
-		}
-	}
-	qg := core.NewQueryGraph(querySets...)
-	for _, e := range rq.edges {
-		qg.AddEdge(e[0], e[1])
-	}
-	// The run-scoped counters feed the session calibration on Stop; core
-	// chains its own per-run counters behind these, and these forward to
-	// the service's lifetime totals.
-	ctrs := &dht.Counters{Chain: &rq.svc.counters}
-	spec := core.Spec{
-		Graph:      sess.g,
-		Query:      qg,
-		Params:     rq.params,
-		D:          rq.d,
-		Agg:        rq.agg,
-		K:          1, // required by Validate; the stream itself is k-free
-		Distinct:   rq.query.Distinct,
-		Measure:    rq.query.Measure,
-		Workers:    g.n,
-		BatchWidth: rq.query.BatchWidth,
-		Pool:       sess.pool,
-		Memo:       sess.memo,
-		Counters:   ctrs,
-		Cancel:     rq.svc.cancelPoll(qctx),
-	}
-	alg, err := core.NewNamed(pl.Algorithm, spec, rq.m)
+	st, err := rq.r.OpenAnswers(pl.Algorithm, env, rq.qg)
 	if err != nil {
-		rq.svc.adm.release(g)
-		cancel()
-		return nil, err
-	}
-	st, err := alg.Stream()
-	if err != nil {
-		rq.svc.adm.release(g)
-		cancel()
+		rn.finish(nil)
 		return nil, err
 	}
 	rq.svc.recordPick(pl.Algorithm)
-	return &JoinNStream{svc: rq.svc, ctx: qctx, cancel: cancel, sess: sess, key: rq.key, st: st, rl: sess.rl, grant: g, ctrs: ctrs}, nil
+	return &JoinNStream{stream[core.Answer]{run: rn, key: rq.key, st: st, calib: rq.sess.calib, clone: cloneAnswer}}, nil
 }
 
 // workload assembles the planner's view of the n-way request.
 func (rq *joinNReq) workload() plan.Workload {
-	w := plan.Workload{
-		Stats:      rq.sess.g.Stats(),
-		K:          rq.m, // stream demand is unknown; plan for the initial batch
-		M:          rq.m,
-		D:          rq.d,
-		Measure:    rq.kern.PlanMeasure,
-		Workers:    rq.query.Workers,
-		BatchWidth: rq.query.BatchWidth,
-		Accuracy:   rq.acc,
-	}
-	w.SetSizes = make([]int, len(rq.nodeSets))
-	for i, set := range rq.nodeSets {
-		w.SetSizes[i] = set.Len()
-	}
-	w.QueryEdges = rq.edges
-	return w
-}
-
-// JoinNStream streams one n-way join request; same contract as Join2Stream.
-type JoinNStream struct {
-	svc       *Service
-	ctx       context.Context
-	cancel    context.CancelFunc // releases the budget timer; nil for replays
-	sess      *session
-	key       string
-	st        core.TupleStream
-	rl        *graph.Relabeling
-	grant     *grant
-	ctrs      *dht.Counters // run-scoped; feeds the session calibration on Stop
-	drained   []core.Answer
-	truncated bool // answers past maxCachedPrefix were not recorded
-	budgetHit bool // the deadline budget cut the ranking short
-	exhausted bool
-	stopped   bool
-
-	// replay, when non-nil, is a cached complete ranking served in place
-	// of a live join; see Join2Stream.replay.
-	replay []core.Answer
-	pos    int
-}
-
-// Truncated reports whether the stream's deadline budget expired; see
-// Join2Stream.Truncated.
-func (s *JoinNStream) Truncated() bool { return s.budgetHit }
-
-// noteBudget records a budget-expiry truncation exactly once per stream.
-func (s *JoinNStream) noteBudget(err error) {
-	if errors.Is(err, ErrBudgetExceeded) && !s.budgetHit {
-		s.budgetHit = true
-		s.svc.budgetTruncs.Add(1)
-	}
-}
-
-// safeNext pulls from the underlying stream with panic recovery; see
-// Join2Stream.safeNext.
-func (s *JoinNStream) safeNext() (a core.Answer, ok bool, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.svc.notePanic()
-			a, ok, err = core.Answer{}, false, fmt.Errorf("service: panic in join stream: %v", p)
-		}
-	}()
-	return s.st.Next()
-}
-
-// Next returns the next-best answer in the caller's id space; see
-// Join2Stream.Next.
-func (s *JoinNStream) Next() (core.Answer, bool, error) {
-	if s.stopped {
-		return core.Answer{}, false, nil
-	}
-	if s.ctx.Err() != nil {
-		err := context.Cause(s.ctx)
-		s.noteBudget(err)
-		s.Stop()
-		return core.Answer{}, false, err
-	}
-	if s.replay != nil {
-		if s.pos < len(s.replay) {
-			// Served answers are deep copies: the replay slice is the
-			// cache's immutable snapshot.
-			cached := s.replay[s.pos]
-			s.pos++
-			a := core.Answer{Nodes: make([]graph.NodeID, len(cached.Nodes)), Score: cached.Score}
-			copy(a.Nodes, cached.Nodes)
-			return a, true, nil
-		}
-		s.exhausted = true
-		s.Stop()
-		return core.Answer{}, false, nil
-	}
-	a, ok, err := s.safeNext()
-	if err != nil {
-		s.noteBudget(err)
-		s.Stop()
-		return core.Answer{}, false, err
-	}
-	if !ok {
-		s.exhausted = true
-		s.Stop()
-		return core.Answer{}, false, nil
-	}
-	if s.rl != nil {
-		for i := range a.Nodes {
-			a.Nodes[i] = s.rl.ToOld(a.Nodes[i])
-		}
-	}
-	// The caller owns the returned Nodes slice, so the drained prefix keeps
-	// its own deep copy — a caller mutating a served tuple before Stop must
-	// not poison what Stop publishes to the result cache.
-	if len(s.drained) < maxCachedPrefix {
-		kept := core.Answer{Nodes: make([]graph.NodeID, len(a.Nodes)), Score: a.Score}
-		copy(kept.Nodes, a.Nodes)
-		s.drained = append(s.drained, kept)
-	} else {
-		s.truncated = true
-	}
-	return a, true, nil
-}
-
-// NextK pulls up to k further answers (fewer at exhaustion; on error the
-// answers drained before it are returned alongside).
-func (s *JoinNStream) NextK(k int) ([]core.Answer, error) {
-	return join2.Drain(k, s.Next)
-}
-
-// Stop releases engines and admission tokens and publishes the drained
-// prefix (unless the request bypasses the cache). Idempotent.
-func (s *JoinNStream) Stop() {
-	if s.stopped {
-		return
-	}
-	s.stopped = true
-	if s.st != nil {
-		s.st.Release()
-	}
-	s.svc.adm.release(s.grant)
-	s.grant = nil
-	if s.cancel != nil {
-		s.cancel()
-	}
-	if s.ctrs != nil {
-		s.sess.calib.Observe(s.ctrs.Snapshot(), s.sess.g.NumEdges())
-	}
-	if s.replay == nil && s.key != "" && (len(s.drained) > 0 || s.exhausted) {
-		// drained holds private deep copies (see Next), so it can be
-		// published as the immutable cache snapshot directly; a truncated
-		// recording is a valid prefix but never a complete ranking.
-		s.sess.results.put(s.key, prefix{results: s.drained, n: len(s.drained), exhausted: s.exhausted && !s.truncated})
-	}
+	return rq.r.JoinWorkload(rq.sess.g, rq.qg)
 }
 
 // OpenJoinN opens a streaming n-way join request; see OpenJoin2.
@@ -1690,7 +1376,7 @@ func (s *Service) OpenJoinN(ctx context.Context, graphName string, sets []SetRef
 			if ctx == nil {
 				ctx = context.Background()
 			}
-			return &JoinNStream{svc: s, ctx: ctx, sess: rq.sess, replay: pre.results.([]core.Answer)}, nil
+			return &JoinNStream{stream[core.Answer]{run: run{svc: s, ctx: ctx, sess: rq.sess}, replay: pre.results.([]core.Answer), clone: cloneAnswer}}, nil
 		}
 		s.resultMisses.Add(1)
 	}
@@ -1781,9 +1467,9 @@ func (s *Service) ExplainJoin2(ctx context.Context, graphName string, p, q SetRe
 		return nil, err
 	}
 	if k <= 0 {
-		k = rq.m
+		k = rq.r.M
 	}
-	return s.planFor(rq.sess, plan.TwoWay, rq.key, k, rq.workload(k), query.Algorithm)
+	return s.planFor(rq.sess, plan.TwoWay, rq.key, k, rq.workload(k), rq.r.Algorithm)
 }
 
 // ExplainJoinN is ExplainJoin2 for n-way requests (k is accepted for API
@@ -1793,56 +1479,36 @@ func (s *Service) ExplainJoinN(ctx context.Context, graphName string, sets []Set
 	if err != nil {
 		return nil, err
 	}
-	return s.planFor(rq.sess, plan.NWay, rq.key, rq.m, rq.workload(), query.Algorithm)
+	return s.planFor(rq.sess, plan.NWay, rq.key, rq.r.M, rq.workload(), rq.r.Algorithm)
 }
 
-// Score computes the truncated score h_d(u, v) exactly as dhtjoin.Score (on
-// the graph as loaded; relabeling is a join-side optimization and is ignored
-// here, matching the one-shot facade). ctx bounds the wait for admission.
+// Score computes the truncated score h_d(u, v) exactly as dhtjoin.Score,
+// through the same core (on the graph as loaded: relabeling is a join-side
+// optimization). ctx bounds the wait for admission.
 func (s *Service) Score(ctx context.Context, graphName string, u, v graph.NodeID, query Query) (float64, error) {
 	s.scoreReqs.Add(1)
 	if err := s.admitGate(); err != nil {
 		return 0, err
 	}
-	kern, params, d, _, _, err := query.resolve()
+	r, err := exec.Resolve(query)
 	if err != nil {
 		return 0, err
 	}
-	query.applyKernel(kern)
-	s.recordMeasure(kern.Name)
+	s.recordMeasure(r.MeasureName)
 	ge, err := s.graphFor(graphName)
 	if err != nil {
 		return 0, err
 	}
-	n := ge.g.NumNodes()
-	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-		return 0, fmt.Errorf("service: node pair (%d,%d) out of range [0,%d)", u, v, n)
-	}
-	sess, err := s.sessionFor(ge, params, d, graph.NoRelabel, kern.Name)
+	sess, err := s.sessionFor(ge, r.Params, r.D, graph.NoRelabel, r.MeasureName)
 	if err != nil {
 		return 0, err
 	}
-	g, err := s.adm.acquire(ctx, query.Tenant, query.Priority, 1)
+	g, err := s.adm.acquire(ctx, r.Tenant, r.Priority, 1)
 	if err != nil {
 		return 0, err
 	}
 	defer s.adm.release(g)
-	if !kern.WalkBased {
-		// Matrix measures (simrank) score through the kernel's evaluator; the
-		// session pool holds walk engines these measures never touch.
-		ev, err := kern.NewEvaluator(sess.g, params, d)
-		if err != nil {
-			return 0, err
-		}
-		var dst [1]float64
-		if err := ev.ScoresInto(u, []graph.NodeID{v}, d, dst[:]); err != nil {
-			return 0, err
-		}
-		return dst[0], nil
-	}
-	e := sess.pool.Get()
-	defer sess.pool.Put(e)
-	return e.ForwardScoreKind(query.Measure, u, v, d), nil
+	return r.Score(sess.g, sess.pool, u, v)
 }
 
 // Stats snapshots the service counters. All int64 fields are monotone over
@@ -1952,9 +1618,14 @@ func resolveWorkers(w int) int {
 func copyAnswers(in []core.Answer) []core.Answer {
 	out := make([]core.Answer, len(in))
 	for i, a := range in {
-		nodes := make([]graph.NodeID, len(a.Nodes))
-		copy(nodes, a.Nodes)
-		out[i] = core.Answer{Nodes: nodes, Score: a.Score}
+		out[i] = cloneAnswer(a)
 	}
 	return out
+}
+
+// cloneAnswer deep-copies one answer.
+func cloneAnswer(a core.Answer) core.Answer {
+	nodes := make([]graph.NodeID, len(a.Nodes))
+	copy(nodes, a.Nodes)
+	return core.Answer{Nodes: nodes, Score: a.Score}
 }

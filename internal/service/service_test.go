@@ -426,6 +426,36 @@ func TestServiceDropDuringSessionBuild(t *testing.T) {
 	}
 }
 
+// TestServiceRejectsInvalidRelabel: a Query.Relabel outside the declared
+// modes fails every join entry point instead of silently running
+// unrelabeled, and the rejection happens before the result cache (a cached
+// ranking for the same sets must not mask it).
+func TestServiceRejectsInvalidRelabel(t *testing.T) {
+	g, sets := testGraph(t)
+	svc := New(Config{})
+	if err := svc.LoadGraph("g", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	p, q := SetRef{Name: sets[0].Name}, SetRef{Name: sets[1].Name}
+	if _, err := svc.Join2(ctx, "g", p, q, 5, Query{}); err != nil {
+		t.Fatal(err)
+	}
+	bad := Query{Relabel: graph.RelabelMode(7)}
+	if _, err := svc.Join2(ctx, "g", p, q, 5, bad); err == nil {
+		t.Fatal("Join2 accepted relabel mode 7")
+	}
+	if _, err := svc.OpenJoin2(ctx, "g", p, q, bad); err == nil {
+		t.Fatal("OpenJoin2 accepted relabel mode 7")
+	}
+	if _, err := svc.JoinN(ctx, "g", []SetRef{p, q}, [][2]int{{0, 1}}, 5, bad); err == nil {
+		t.Fatal("JoinN accepted relabel mode 7")
+	}
+	if err := bad.Validate(); err == nil {
+		t.Fatal("Query.Validate accepted relabel mode 7")
+	}
+}
+
 // TestServiceNegativeLimits: sizing knobs below 1 that have no meaningful
 // disabled state must fall back to defaults instead of wedging (a negative
 // MaxSessions used to panic session eviction on an empty order slice).
