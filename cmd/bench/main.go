@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -651,6 +652,33 @@ func benchSet() []spec {
 			}
 		}
 	}
+	// EditBatch20 prices the edge-update ack's graph step: one 20-arc batch
+	// merged by graph.ApplyEdits into a 2400-node graph with 8 random
+	// out-arcs per node, the shape of the serving benchmark's edit workload.
+	// Every iteration edits the same base graph, so the size stays fixed.
+	editBatch := func() func(b *testing.B) {
+		return func(b *testing.B) {
+			const n, deg = 2400, 8
+			r := rand.New(rand.NewSource(1))
+			gb := graph.NewBuilder(n, true)
+			for u := 0; u < n; u++ {
+				for i := 0; i < deg; i++ {
+					gb.AddEdge(graph.NodeID(u), graph.NodeID(r.Intn(n)), float64(1+r.Intn(3)))
+				}
+			}
+			g := gb.Build()
+			adds := make([]graph.Edge, 20)
+			for i := range adds {
+				adds[i] = graph.Edge{U: graph.NodeID(r.Intn(n)), V: graph.NodeID(r.Intn(n)), W: float64(1 + r.Intn(3))}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := graph.ApplyEdits(g, adds, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
 	return []spec{
 		{"Fig9a2WayAlgos", expBench("fig9a")},
 		{"Fig7aYeastVsN", expBench("fig7a")},
@@ -676,5 +704,6 @@ func benchSet() []spec {
 		{"PPRJoinTop50", measureJoinBench("ppr")},
 		{"SimRankJoinTop50", measureJoinBench("simrank")},
 		{"ClusterScatterTop50", clusterScatterBench()},
+		{"EditBatch20", editBatch()},
 	}
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -85,84 +86,74 @@ func (b *Builder) Build() *Graph {
 	// Merge duplicates by summing weights.
 	merged := arcs[:0]
 	for _, a := range arcs {
-		if len(merged) > 0 {
-			last := &merged[len(merged)-1]
-			if last.u == a.u && last.v == a.v {
-				last.w += a.w
-				continue
-			}
+		if k := len(merged) - 1; k >= 0 && merged[k].u == a.u && merged[k].v == a.v {
+			merged[k].w += a.w
+			continue
 		}
 		merged = append(merged, a)
 	}
+	// The sorted order is the out-CSR order.
+	outIndex := make([]int64, b.n+1)
+	outTo := make([]NodeID, len(merged))
+	outW := make([]float64, len(merged))
+	for j, a := range merged {
+		outTo[j], outW[j] = a.v, a.w
+		outIndex[a.u+1]++
+	}
+	for u := 0; u < b.n; u++ {
+		outIndex[u+1] += outIndex[u]
+	}
+	var labels []string
+	if b.labels != nil {
+		labels = make([]string, b.n)
+		for u, l := range b.labels {
+			labels[u] = l
+		}
+	}
+	return derive(b.n, outIndex, outTo, outW, labels)
+}
 
-	g := &Graph{n: b.n}
-	g.outIndex = make([]int64, b.n+1)
-	g.outTo = make([]NodeID, len(merged))
-	g.outW = make([]float64, len(merged))
-	g.outP = make([]float64, len(merged))
-	for _, a := range merged {
-		g.outIndex[a.u+1]++
-	}
-	for u := 0; u < b.n; u++ {
-		g.outIndex[u+1] += g.outIndex[u]
-	}
-	{
-		next := make([]int64, b.n)
-		for u := 0; u < b.n; u++ {
-			next[u] = g.outIndex[u]
-		}
-		for _, a := range merged {
-			j := next[a.u]
-			g.outTo[j] = a.v
-			g.outW[j] = a.w
-			next[a.u]++
-		}
-	}
-	// Transition probabilities.
-	for u := 0; u < b.n; u++ {
-		lo, hi := g.outIndex[u], g.outIndex[u+1]
+// derive completes a graph from its out-CSR (targets strictly sorted per
+// row, weights positive) with transition probabilities and in-adjacency. It
+// is the one derivation behind Builder.Build, NewFromCSR and ApplyEdits; row
+// weights sum in CSR order, so equal out-CSRs give bit-identical graphs.
+func derive(n int, outIndex []int64, outTo []NodeID, outW []float64, labels []string) *Graph {
+	m := len(outTo)
+	g := &Graph{n: n, outIndex: outIndex, outTo: outTo, outW: outW, labels: labels}
+	g.outP = make([]float64, m)
+	for u := 0; u < n; u++ {
+		lo, hi := outIndex[u], outIndex[u+1]
 		var sum float64
 		for j := lo; j < hi; j++ {
-			sum += g.outW[j]
+			sum += outW[j]
 		}
 		if sum > 0 {
 			for j := lo; j < hi; j++ {
-				g.outP[j] = g.outW[j] / sum
+				g.outP[j] = outW[j] / sum
 			}
 		}
 	}
-	// In-adjacency.
-	g.inIndex = make([]int64, b.n+1)
-	g.inFrom = make([]NodeID, len(merged))
-	g.inW = make([]float64, len(merged))
-	g.inP = make([]float64, len(merged))
-	for _, a := range merged {
-		g.inIndex[a.v+1]++
+	// In-adjacency by a counting pass; walking the out-CSR in order keeps
+	// every in-list sorted by source.
+	g.inIndex = make([]int64, n+1)
+	g.inFrom = make([]NodeID, m)
+	g.inW = make([]float64, m)
+	g.inP = make([]float64, m)
+	for _, v := range outTo {
+		g.inIndex[v+1]++
 	}
-	for u := 0; u < b.n; u++ {
+	for u := 0; u < n; u++ {
 		g.inIndex[u+1] += g.inIndex[u]
 	}
-	{
-		next := make([]int64, b.n)
-		for u := 0; u < b.n; u++ {
-			next[u] = g.inIndex[u]
-		}
-		// Walk out-CSR in order so in-lists are sorted by source.
-		for u := 0; u < b.n; u++ {
-			for j := g.outIndex[u]; j < g.outIndex[u+1]; j++ {
-				v := g.outTo[j]
-				i := next[v]
-				g.inFrom[i] = NodeID(u)
-				g.inW[i] = g.outW[j]
-				g.inP[i] = g.outP[j]
-				next[v]++
-			}
-		}
-	}
-	if b.labels != nil {
-		g.labels = make([]string, b.n)
-		for u, l := range b.labels {
-			g.labels[u] = l
+	next := slices.Clone(g.inIndex[:n])
+	for u := 0; u < n; u++ {
+		for j := outIndex[u]; j < outIndex[u+1]; j++ {
+			v := outTo[j]
+			i := next[v]
+			g.inFrom[i] = NodeID(u)
+			g.inW[i] = outW[j]
+			g.inP[i] = g.outP[j]
+			next[v]++
 		}
 	}
 	return g

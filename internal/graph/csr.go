@@ -3,6 +3,8 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 )
 
 // This file is the serialization seam between the immutable CSR graph and
@@ -40,8 +42,8 @@ func (g *Graph) PrimeStats(s Stats) {
 // untrusted bytes. labels may be nil or length n.
 //
 // The resulting graph is field-for-field identical to the graph the CSR was
-// taken from: probabilities are recomputed with the same summation order the
-// Builder uses, so joins over a reloaded graph are bit-identical to joins
+// taken from: after validation it goes through the same derivation the
+// Builder ends in, so joins over a reloaded graph are bit-identical to joins
 // over the original.
 func NewFromCSR(n int, outIndex []int64, outTo []NodeID, outW []float64, labels []string) (*Graph, error) {
 	if n < 0 {
@@ -57,14 +59,14 @@ func NewFromCSR(n int, outIndex []int64, outTo []NodeID, outW []float64, labels 
 	if outIndex[0] != 0 || outIndex[n] != int64(m) {
 		return nil, fmt.Errorf("graph: outIndex bounds [%d,%d], want [0,%d]", outIndex[0], outIndex[n], m)
 	}
-	g := &Graph{n: n, outIndex: outIndex, outTo: outTo, outW: outW}
-	g.outP = make([]float64, m)
+	if labels != nil && len(labels) != n {
+		return nil, fmt.Errorf("graph: labels length %d, want %d", len(labels), n)
+	}
 	for u := 0; u < n; u++ {
 		lo, hi := outIndex[u], outIndex[u+1]
 		if hi < lo || hi > int64(m) {
 			return nil, fmt.Errorf("graph: out index not monotone at node %d", u)
 		}
-		var sum float64
 		for j := lo; j < hi; j++ {
 			v := outTo[j]
 			if v < 0 || int(v) >= n {
@@ -73,51 +75,12 @@ func NewFromCSR(n int, outIndex []int64, outTo []NodeID, outW []float64, labels 
 			if j > lo && v <= outTo[j-1] {
 				return nil, fmt.Errorf("graph: out edges of %d not strictly sorted", u)
 			}
-			w := outW[j]
-			if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			if w := outW[j]; w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
 				return nil, fmt.Errorf("graph: edge (%d,%d) has invalid weight %v", u, v, w)
 			}
-			sum += w
-		}
-		if sum > 0 {
-			for j := lo; j < hi; j++ {
-				g.outP[j] = outW[j] / sum
-			}
 		}
 	}
-	// In-adjacency, by the Builder's counting pass (walking the out-CSR in
-	// order keeps in-lists sorted by source).
-	g.inIndex = make([]int64, n+1)
-	g.inFrom = make([]NodeID, m)
-	g.inW = make([]float64, m)
-	g.inP = make([]float64, m)
-	for _, v := range outTo {
-		g.inIndex[v+1]++
-	}
-	for u := 0; u < n; u++ {
-		g.inIndex[u+1] += g.inIndex[u]
-	}
-	next := make([]int64, n)
-	for u := 0; u < n; u++ {
-		next[u] = g.inIndex[u]
-	}
-	for u := 0; u < n; u++ {
-		for j := outIndex[u]; j < outIndex[u+1]; j++ {
-			v := outTo[j]
-			i := next[v]
-			g.inFrom[i] = NodeID(u)
-			g.inW[i] = outW[j]
-			g.inP[i] = g.outP[j]
-			next[v]++
-		}
-	}
-	if labels != nil {
-		if len(labels) != n {
-			return nil, fmt.Errorf("graph: labels length %d, want %d", len(labels), n)
-		}
-		g.labels = labels
-	}
-	return g, nil
+	return derive(n, outIndex, outTo, outW, labels), nil
 }
 
 // Edge is one weighted directed arc, the unit of the store's edge WAL.
@@ -128,15 +91,19 @@ type Edge struct {
 
 // ApplyEdits returns a new graph with adds inserted and dels removed, leaving
 // g untouched. Adding an arc that already exists sums the weights (the
-// Builder's duplicate convention); deleting removes the single directed arc
-// (u,v) entirely and ignores arcs that do not exist. Node ids in adds beyond
-// g's range grow the node count; ids in dels beyond it are ignored. Within
-// one call, deletions are applied after all additions.
+// Builder's duplicate convention). Node ids in adds beyond g's range grow the
+// node count. Deletions apply after all additions: a del removes the arc
+// (u,v) from the post-add arc set entirely — so it also cancels a same-batch
+// add, on a grown id too — and is a no-op for an arc that set lacks,
+// including any arc with an out-of-range endpoint.
 //
 // The operation is deterministic: the same (g, adds, dels) always produces
 // the bit-identical graph, which is what makes WAL replay reproduce exactly
 // the graph the live process had — per-arc weights accumulate in a fixed
-// order (g's arcs first, then adds in argument order).
+// order (g's weight first, then adds in argument order). It costs
+// O(|V|+|E| + a·log a) for a = len(adds)+len(dels), with no hashing: the
+// sorted batch is merged row by row into g's out-CSR. A batch whose adds sum
+// the weight of an arc it keeps past the float64 range is rejected.
 func ApplyEdits(g *Graph, adds []Edge, dels [][2]NodeID) (*Graph, error) {
 	n := g.NumNodes()
 	for _, e := range adds {
@@ -146,37 +113,71 @@ func ApplyEdits(g *Graph, adds []Edge, dels [][2]NodeID) (*Graph, error) {
 		if e.W <= 0 || math.IsNaN(e.W) || math.IsInf(e.W, 0) {
 			return nil, fmt.Errorf("graph: edit adds arc (%d,%d) with invalid weight %v", e.U, e.V, e.W)
 		}
-		if int(e.U) >= n {
-			n = int(e.U) + 1
+		n = max(n, int(e.U)+1, int(e.V)+1)
+	}
+	// A stable sort keeps same-arc adds in argument order, so their weights
+	// sum in that order after g's.
+	adds = slices.Clone(adds)
+	sort.SliceStable(adds, func(i, j int) bool {
+		return adds[i].U < adds[j].U || adds[i].U == adds[j].U && adds[i].V < adds[j].V
+	})
+	dels = slices.Clone(dels)
+	sort.Slice(dels, func(i, j int) bool {
+		return dels[i][0] < dels[j][0] || dels[i][0] == dels[j][0] && dels[i][1] < dels[j][1]
+	})
+
+	outIndex := make([]int64, n+1)
+	outTo := make([]NodeID, 0, g.NumEdges()+len(adds))
+	outW := make([]float64, 0, g.NumEdges()+len(adds))
+	a, d := 0, 0
+	for row := 0; row < n; row++ {
+		u := NodeID(row)
+		var to []NodeID
+		var w []float64
+		if row < g.n {
+			to, w, _ = g.OutEdges(u)
 		}
-		if int(e.V) >= n {
-			n = int(e.V) + 1
+		for d < len(dels) && dels[d][0] < u {
+			d++
 		}
-	}
-	type arc struct{ u, v NodeID }
-	// Accumulate per-arc weights in a fixed order (existing CSR order, then
-	// adds in order), so duplicate sums are reproducible bit for bit.
-	weight := make(map[arc]float64, g.NumEdges()+len(adds))
-	for u := 0; u < g.NumNodes(); u++ {
-		to, w, _ := g.OutEdges(NodeID(u))
-		for j := range to {
-			weight[arc{NodeID(u), to[j]}] += w[j]
+		for i := 0; i < len(to) || a < len(adds) && adds[a].U == u; {
+			if (a == len(adds) || adds[a].U != u) && (d == len(dels) || dels[d][0] != u) {
+				// No edit left in this row: copy the rest of it verbatim.
+				outTo = append(outTo, to[i:]...)
+				outW = append(outW, w[i:]...)
+				break
+			}
+			var v NodeID
+			var wv float64
+			if i < len(to) && (a == len(adds) || adds[a].U != u || to[i] <= adds[a].V) {
+				v, wv = to[i], w[i]
+				i++
+			} else {
+				v, wv = adds[a].V, adds[a].W
+				a++
+			}
+			for ; a < len(adds) && adds[a].U == u && adds[a].V == v; a++ {
+				wv += adds[a].W
+			}
+			for d < len(dels) && dels[d][0] == u && dels[d][1] < v {
+				d++
+			}
+			if d < len(dels) && dels[d][0] == u && dels[d][1] == v {
+				continue
+			}
+			if math.IsInf(wv, 0) {
+				return nil, fmt.Errorf("graph: edit overflows the weight of arc (%d,%d)", u, v)
+			}
+			outTo = append(outTo, v)
+			outW = append(outW, wv)
 		}
+		outIndex[row+1] = int64(len(outTo))
 	}
-	for _, e := range adds {
-		weight[arc{e.U, e.V}] += e.W
+	// The Builder convention: a graph with no non-empty label is unlabeled.
+	var labels []string
+	if slices.ContainsFunc(g.labels, func(l string) bool { return l != "" }) {
+		labels = make([]string, n)
+		copy(labels, g.labels)
 	}
-	for _, d := range dels {
-		delete(weight, arc{d[0], d[1]})
-	}
-	b := NewBuilder(n, true)
-	for a, w := range weight {
-		b.AddEdge(a.u, a.v, w)
-	}
-	for u := 0; u < g.NumNodes(); u++ {
-		if l := g.Label(NodeID(u)); l != "" {
-			b.SetLabel(NodeID(u), l)
-		}
-	}
-	return b.Build(), nil
+	return derive(n, outIndex, outTo, outW, labels), nil
 }

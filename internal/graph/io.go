@@ -18,6 +18,10 @@ import (
 //	nodeset <name> <id> <id> ...    (optional, may repeat a name to extend it)
 //
 // It is intended for small fixtures and interchange; use WriteBinary for bulk.
+// The header's node count is capped at maxTextNodes: the graph allocates
+// per-node arrays up front, so an uncapped count would let a one-line input
+// demand gigabytes.
+const maxTextNodes = 1 << 24
 
 // WriteText serializes g (and optional node sets) in the text format.
 func WriteText(w io.Writer, g *Graph, sets ...*NodeSet) error {
@@ -80,6 +84,9 @@ func ReadText(r io.Reader) (*Graph, []*NodeSet, error) {
 			n, err := strconv.Atoi(fields[1])
 			if err != nil || n < 0 {
 				return nil, nil, fmt.Errorf("graph text line %d: bad node count %q", lineNo, fields[1])
+			}
+			if n > maxTextNodes {
+				return nil, nil, fmt.Errorf("graph text line %d: node count %d exceeds the text format's limit of %d", lineNo, n, maxTextNodes)
 			}
 			directed := true
 			if len(fields) >= 3 && fields[2] == "undirected" {

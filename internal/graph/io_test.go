@@ -154,3 +154,13 @@ func TestTextRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadTextRejectsHugeNodeCount pins the header cap: a one-line input
+// must not size the graph past maxTextNodes.
+func TestReadTextRejectsHugeNodeCount(t *testing.T) {
+	for _, in := range []string{"graph 200000000\n", "graph 99999999999999999\n"} {
+		if _, _, err := ReadText(strings.NewReader(in)); err == nil {
+			t.Errorf("ReadText(%q) accepted", in)
+		}
+	}
+}

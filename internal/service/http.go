@@ -17,10 +17,11 @@ import (
 	"repro/internal/rankjoin"
 )
 
-// maxGraphBody bounds an uploaded graph file (text format) at 256 MiB — far
-// above the evaluation datasets, low enough that a stray upload cannot OOM
-// the server.
-const maxGraphBody = 256 << 20
+// maxGraphBody bounds an uploaded graph file (text format) and every JSON
+// request body at 256 MiB — far above the evaluation datasets, low enough
+// that a stray upload cannot OOM the server. It is a variable only so tests
+// can exercise the cap without 256 MiB bodies.
+var maxGraphBody int64 = 256 << 20
 
 // OptionsJSON is the wire form of a Query. All fields are optional; zero
 // values select the paper's defaults, exactly as dhtjoin.Options does.
@@ -340,7 +341,7 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("POST /graphs/{name}/edges", func(w http.ResponseWriter, r *http.Request) {
 		name := r.PathValue("name")
 		var req edgeUpdateRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(w, r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -363,7 +364,7 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("POST /join2", func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context() // a disconnected client cancels it, aborting the join
 		var req join2Request
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(w, r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -448,7 +449,7 @@ func NewHandler(svc *Service) http.Handler {
 	mux.HandleFunc("POST /joinN", func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		var req joinNRequest
-		if err := decodeJSON(r, &req); err != nil {
+		if err := decodeJSON(w, r, &req); err != nil {
 			writeError(w, http.StatusBadRequest, err)
 			return
 		}
@@ -845,9 +846,11 @@ func optionsFromQuery(qp url.Values) (OptionsJSON, error) {
 	return opts, nil
 }
 
-// decodeJSON strictly decodes a request body.
-func decodeJSON(r *http.Request, into any) error {
-	dec := json.NewDecoder(r.Body)
+// decodeJSON strictly decodes a request body, read through the same
+// maxGraphBody cap as a graph upload: the decoder buffers the whole value, so
+// an uncapped body could grow it without bound.
+func decodeJSON(w http.ResponseWriter, r *http.Request, into any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxGraphBody))
 	dec.DisallowUnknownFields()
 	return dec.Decode(into)
 }

@@ -66,6 +66,18 @@ func (s *Service) UpdateEdges(name string, adds []graph.Edge, dels [][2]graph.No
 	if err != nil {
 		return GraphInfo{}, err
 	}
+	// Each add introduces at most two new ids, so dense growth stays legal;
+	// one huge id would otherwise size the graph's per-node arrays for it
+	// and the allocation failure is fatal, not a recoverable panic. The
+	// bound lives here, not in ApplyEdits: WAL replay must keep accepting
+	// every batch already committed.
+	limit := ge.g.NumNodes() + 2*len(adds)
+	for _, e := range adds {
+		if int(e.U) >= limit || int(e.V) >= limit {
+			return GraphInfo{}, fmt.Errorf("service: edit adds arc (%d,%d) past node id %d: a batch of %d adds may grow a %d-node graph by at most %d ids",
+				e.U, e.V, limit-1, len(adds), ge.g.NumNodes(), 2*len(adds))
+		}
+	}
 	next, err := graph.ApplyEdits(ge.g, adds, dels)
 	if err != nil {
 		return GraphInfo{}, err

@@ -2,6 +2,11 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -281,5 +286,96 @@ func TestAdoptRecoveredBeyondCapacity(t *testing.T) {
 		if _, err := svc2.Join2(ctx, name, SetRef{Name: "C0"}, SetRef{Name: "C1"}, 3, Query{}); err != nil {
 			t.Fatalf("join on %q after adoption: %v", name, err)
 		}
+	}
+}
+
+// editOverHTTP posts a raw edit body for graph "comm" and returns the
+// response status.
+func editOverHTTP(t *testing.T, srv *httptest.Server, body string) int {
+	t.Helper()
+	resp, err := http.Post(srv.URL+"/graphs/comm/edges", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// assertUnedited checks that a rejected edit left the graph, its generation
+// and the WAL as they were.
+func assertUnedited(t *testing.T, svc *Service, g *graph.Graph) {
+	t.Helper()
+	infos := svc.Graphs()
+	if len(infos) != 1 || infos[0].Generation != 1 || infos[0].Nodes != g.NumNodes() || infos[0].Edges != g.NumEdges() {
+		t.Fatalf("rejected edit changed the graph: %+v", infos)
+	}
+	if st := svc.Stats(); st.EdgeUpdates != 0 || st.Persistence.WALAppends != 0 {
+		t.Fatalf("rejected edit counted: updates=%d wal appends=%d", st.EdgeUpdates, st.Persistence.WALAppends)
+	}
+}
+
+// TestEditRejectsHugeNodeID: one add endpoint far past the graph would size
+// it for that many nodes (a fatal allocation failure at 2e9); the service
+// rejects it as a bad request before touching the graph or the WAL, while
+// dense growth of up to two new ids per add stays legal.
+func TestEditRejectsHugeNodeID(t *testing.T) {
+	g, sets := testGraph(t)
+	svc := New(Config{Store: openStore(t, t.TempDir())})
+	if err := svc.LoadGraph("comm", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(svc))
+	t.Cleanup(srv.Close)
+
+	n := g.NumNodes()
+	for _, body := range []string{
+		fmt.Sprintf(`{"add":[{"u":0,"v":%d,"w":1}]}`, n+2),
+		fmt.Sprintf(`{"add":[{"u":0,"v":1,"w":1},{"u":%d,"v":0,"w":1}]}`, n+4),
+		`{"add":[{"u":2000000000,"v":0,"w":1}]}`,
+	} {
+		if status := editOverHTTP(t, srv, body); status != http.StatusBadRequest {
+			t.Fatalf("edit %s: status %d, want 400", body, status)
+		}
+		assertUnedited(t, svc, g)
+	}
+	body := fmt.Sprintf(`{"add":[{"u":%d,"v":%d,"w":1},{"u":%d,"v":%d,"w":1}]}`, n, n+1, n+2, n+3)
+	if status := editOverHTTP(t, srv, body); status != http.StatusOK {
+		t.Fatalf("dense growth by 4 ids with 2 adds: status %d, want 200", status)
+	}
+	if infos := svc.Graphs(); infos[0].Nodes != n+4 || infos[0].Generation != 2 {
+		t.Fatalf("after dense growth: %+v", infos[0])
+	}
+}
+
+// TestEditBodyCapped: an edit body past maxGraphBody is rejected with a 4xx
+// and nothing reaches the WAL. The cap is lowered for the test; the body is a
+// well-formed edit, so only the cap can reject it.
+func TestEditBodyCapped(t *testing.T) {
+	g, sets := testGraph(t)
+	svc := New(Config{Store: openStore(t, t.TempDir())})
+	if err := svc.LoadGraph("comm", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(svc))
+	t.Cleanup(srv.Close)
+	defer func(old int64) { maxGraphBody = old }(maxGraphBody)
+	maxGraphBody = 1 << 10
+
+	var b strings.Builder
+	b.WriteString(`{"add":[`)
+	for i := 0; b.Len() <= 2*int(maxGraphBody); i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		fmt.Fprintf(&b, `{"u":%d,"v":%d,"w":1}`, i%g.NumNodes(), (i+1)%g.NumNodes())
+	}
+	b.WriteString(`]}`)
+	if status := editOverHTTP(t, srv, b.String()); status < 400 || status > 499 {
+		t.Fatalf("over-cap edit body: status %d, want 4xx", status)
+	}
+	assertUnedited(t, svc, g)
+	if status := editOverHTTP(t, srv, `{"add":[{"u":0,"v":1,"w":1}]}`); status != http.StatusOK {
+		t.Fatalf("small edit under the cap: status %d, want 200", status)
 	}
 }

@@ -242,6 +242,11 @@ func (s *Store) AppendEdits(name string, adds []graph.Edge, dels [][2]graph.Node
 			return 0, false, err
 		}
 	}
+	if n := walBodyLen(adds, dels); n > maxWALRecord {
+		// Recovery reads a longer body as a torn tail, so this batch would
+		// be acknowledged now and dropped at the next boot.
+		return 0, false, fmt.Errorf("store: edit batch of %d bytes exceeds the %d-byte wal record limit", n, maxWALRecord)
+	}
 	rec := encodeWALRecord(adds, dels)
 	if _, err := st.wal.Write(rec); err != nil {
 		return 0, false, err // torn tail; recovery truncates it

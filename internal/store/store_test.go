@@ -135,6 +135,28 @@ func TestStoreAppendReplayAcrossReopen(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsOversizedBatch: recovery reads a record body past
+// maxWALRecord as a torn tail, so AppendEdits must refuse such a batch
+// rather than acknowledge an edit the next boot would drop.
+func TestStoreRejectsOversizedBatch(t *testing.T) {
+	dir := t.TempDir()
+	g, sets := testGraph(t)
+	s, _ := openTest(t, dir, 0)
+	if _, err := s.Put("alpha", g, sets); err != nil {
+		t.Fatal(err)
+	}
+	dels := make([][2]graph.NodeID, maxWALRecord/8)
+	if gen, _, err := s.AppendEdits("alpha", nil, dels, g, sets); err == nil {
+		t.Fatalf("oversized batch acknowledged at gen %d", gen)
+	}
+	if ctr := s.Counters(); ctr.WALAppends != 0 {
+		t.Fatalf("WALAppends = %d after a refused batch", ctr.WALAppends)
+	}
+	if gen, _, err := s.AppendEdits("alpha", nil, dels[:1], g, sets); err != nil || gen != 2 {
+		t.Fatalf("append after the refusal: gen=%d err=%v", gen, err)
+	}
+}
+
 func TestStoreSnapshotFoldAndPrune(t *testing.T) {
 	dir := t.TempDir()
 	g, sets := testGraph(t)

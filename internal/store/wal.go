@@ -67,10 +67,15 @@ func parseWALHeader(h []byte) (baseGen uint64, err error) {
 	return binary.LittleEndian.Uint64(h[8:16]), nil
 }
 
+// walBodyLen is the encoded body size of one edit batch.
+func walBodyLen(adds []graph.Edge, dels [][2]graph.NodeID) int {
+	return 1 + 4 + 16*len(adds) + 4 + 8*len(dels)
+}
+
 // encodeWALRecord frames one edit batch as a length-prefixed checksummed
 // record.
 func encodeWALRecord(adds []graph.Edge, dels [][2]graph.NodeID) []byte {
-	body := make([]byte, 0, 1+4+16*len(adds)+4+8*len(dels))
+	body := make([]byte, 0, walBodyLen(adds, dels))
 	body = append(body, walOpEdits)
 	body = binary.LittleEndian.AppendUint32(body, uint32(len(adds)))
 	for _, e := range adds {
